@@ -1,9 +1,6 @@
 package repro.exec
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
-/** The algebraic aggregates supported by the phased executors. GRASP targets
+/** The algebraic aggregates supported by the phased executor. GRASP targets
   * algebraic aggregations (§1 of the paper): each function has a partial
   * state that merges associatively, so fragments can be combined in any
   * order the planner chooses.
@@ -18,47 +15,9 @@ object AggFunc {
 }
 
 /** One aggregate of the query: `func(input) AS alias`. `input` is ignored
-  * for COUNT(*).
+  * for COUNT(*). Its merge rules live in `repro.catalyst.AggStateOps`.
   */
-final case class AggSpec(func: AggFunc, input: String, alias: String) {
-  import AggFunc._
-
-  /** Names of the partial-state columns carried between phases. */
-  def stateCols: Seq[String] = func match {
-    case Avg => Seq(s"__${alias}_sum", s"__${alias}_cnt")
-    case _   => Seq(s"__${alias}_st")
-  }
-
-  /** Partial aggregation of raw input rows (the local pre-aggregation). */
-  def partialExprs: Seq[Column] = func match {
-    case Sum   => Seq(sum(col(input)).cast("double") as stateCols.head)
-    case Min   => Seq(min(col(input)).cast("double") as stateCols.head)
-    case Max   => Seq(max(col(input)).cast("double") as stateCols.head)
-    case Count => Seq(count(lit(1)).cast("double") as stateCols.head)
-    case Avg   => Seq(
-      sum(col(input)).cast("double") as stateCols(0),
-      count(col(input)).cast("double") as stateCols(1))
-  }
-
-  /** Merge of partial states (applied at every phase's receiving fragment). */
-  def mergeExprs: Seq[Column] = func match {
-    case Sum | Count => Seq(sum(col(stateCols.head)) as stateCols.head)
-    case Min         => Seq(min(col(stateCols.head)) as stateCols.head)
-    case Max         => Seq(max(col(stateCols.head)) as stateCols.head)
-    case Avg         => Seq(
-      sum(col(stateCols(0))) as stateCols(0),
-      sum(col(stateCols(1))) as stateCols(1))
-  }
-
-  /** Finalization into the user-visible column. COUNT surfaces as BIGINT to
-    * match SQL semantics; everything else as DOUBLE.
-    */
-  def finalExpr: Column = func match {
-    case Avg   => (col(stateCols(0)) / col(stateCols(1))) as alias
-    case Count => col(stateCols.head).cast("long") as alias
-    case _     => col(stateCols.head) as alias
-  }
-}
+final case class AggSpec(func: AggFunc, input: String, alias: String)
 
 object AggSpec {
   def sum(input: String, alias: String): AggSpec = AggSpec(AggFunc.Sum, input, alias)

@@ -76,6 +76,7 @@ object Fragments {
     grouped.foreach { row =>
       val v = row.getInt(0)
       val l = row.getInt(1)
+      require(v >= 0 && v < nFragments, s"fragment $v out of range")
       card(v)(l) = row.getLong(2)
       sigs(v)(l) = row.getSeq[Long](3).toArray
     }

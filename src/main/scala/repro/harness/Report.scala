@@ -4,8 +4,8 @@ import repro.harness.Algorithms.{AllResults, RunResult}
 import repro.harness.TableFormat.fmt
 
 /** Renders each reproduced exhibit as a table of measured values next to
-  * the numbers the paper reports, so `bench_output.txt` can be diffed
-  * against EXPERIMENTS.md. Speedups are over Preagg+Repart, matching the
+  * the numbers the paper reports, so bench output can be diffed against
+  * EXPERIMENTS.md. Speedups are over Preagg+Repart, matching the
   * paper's figure axes.
   */
 object Report {

@@ -19,7 +19,7 @@ object TableFormat {
 
   def emit(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
     // Println on purpose: bench output is the deliverable recorded in
-    // bench_output.txt / EXPERIMENTS.md.
+    // EXPERIMENTS.md.
     println()
     println(render(title, header, rows))
     println()

@@ -3,8 +3,10 @@ package repro
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+import repro.catalyst.Grasp
+import repro.catalyst.PhasedTestKit.{assertMatchesDuck, runPlan}
 import repro.core._
-import repro.exec.{AggSpec, Fragments, PlanExecutor}
+import repro.exec.{AggSpec, Fragments}
 import repro.harness.{Algorithms, Scenarios}
 
 /** End-to-end integration: every workload generator → GRASP planning →
@@ -29,15 +31,14 @@ class IntegrationSpec extends SparkSpec {
     val plan = GraspPlanner.plan(stats, topo, mapping, W)
     val sim = new Simulator(topo, W).run(plan, data, mapping)
     assert(sim.resultCardinalities(0) == data.globalCardinality(0), s"$name: keys lost")
-    val ex = PlanExecutor.execute(df, Seq(AggSpec.sum("v", "sum_v")), plan, mapping,
-      KeyPartitioner.Single)
+    val specs = Seq(AggSpec.sum("v", "sum_v"))
+    val ex = runPlan(df, nFrags, specs, KeyPartitioner.Single, mapping, _ => plan)
     assert(ex.tuplesIntoDestinations == sim.tuplesIntoDestinations,
       s"$name: simulator (${sim.tuplesIntoDestinations}) vs executor " +
         s"(${ex.tuplesIntoDestinations}) disagree")
-    Oracle.assertEquivalent(
-      ex.result,
-      "SELECT key, CAST(SUM(CAST(v AS DOUBLE)) AS DOUBLE) AS sum_v FROM r GROUP BY key",
-      "r" -> df)
+    assert(ex.tuplesMoved == sim.tuplesReceived.sum,
+      s"$name: simulator (${sim.tuplesReceived.sum}) vs executor (${ex.tuplesMoved}) moved")
+    assertMatchesDuck(ex.result, df, specs)
   }
 
   test("end-to-end: overlapFragments workload") {
@@ -71,7 +72,7 @@ class IntegrationSpec extends SparkSpec {
       "grasp" -> GraspPlanner.plan(stats, topo, mapping, W),
       "repart" -> RepartPlanner.plan(stats, mapping))
     val results = plans.map { case (n, p) =>
-      n -> PlanExecutor.execute(df, specs, p, mapping, part).result
+      n -> runPlan(df, 4, specs, part, mapping, _ => p).result
         .orderBy("key").collect().toSeq
     }
     assert(results(0)._2 == results(1)._2, "GRASP and Repart disagree")
@@ -87,13 +88,10 @@ class IntegrationSpec extends SparkSpec {
     assert(r.speedupOverPreagg(r.preaggRepart) == 1.0)
   }
 
-  test("catalyst operator agrees with the plan executor result") {
+  test("catalyst operator agrees with DuckDB") {
     val df = intValued(SynthData.overlapFragments(spark, 4, 250, jaccard = 0.75, seed = 31))
       .repartition(4, col("fragment"))
     val specs = Seq(AggSpec.sum("v", "sum_v"))
-    val viaOperator = repro.catalyst.Grasp.aggregate(df, "key", specs)
-      .orderBy("key").collect().toSeq
-    val direct = PlanExecutor.direct(df, specs).orderBy("key").collect().toSeq
-    assert(viaOperator == direct)
+    assertMatchesDuck(Grasp.aggregate(df, "key", specs), df, specs)
   }
 }

@@ -2,9 +2,13 @@ package repro.catalyst
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 
 import repro.{Oracle, SparkSpec, SynthData}
-import repro.exec.{AggFunc, AggSpec}
+import repro.catalyst.PhasedTestKit.{assertMatchesDuck, byFragment}
+import repro.core.{GraspPlanner, KeyPartitioner, Mapping, Simulator, Topology}
+import repro.exec.{AggSpec, Fragments}
 
 /** End-to-end tests of the GRASP Catalyst physical operator against DuckDB.
   * Every query result must be identical to a plain GROUP BY; the operator's
@@ -25,17 +29,6 @@ class GraspAggregateExecSpec extends SparkSpec {
       case p => p.children.iterator.flatMap(findExec).nextOption()
     }
 
-  private def duckSql(specs: Seq[AggSpec]): String = {
-    val aggs = specs.map {
-      case AggSpec(AggFunc.Sum, in, al)  => s"CAST(SUM(CAST($in AS DOUBLE)) AS DOUBLE) AS $al"
-      case AggSpec(AggFunc.Min, in, al)  => s"CAST(MIN(CAST($in AS DOUBLE)) AS DOUBLE) AS $al"
-      case AggSpec(AggFunc.Max, in, al)  => s"CAST(MAX(CAST($in AS DOUBLE)) AS DOUBLE) AS $al"
-      case AggSpec(AggFunc.Count, _, al) => s"COUNT(*) AS $al"
-      case AggSpec(AggFunc.Avg, in, al)  => s"CAST(AVG(CAST($in AS DOUBLE)) AS DOUBLE) AS $al"
-    }.mkString(", ")
-    s"SELECT key, $aggs FROM r GROUP BY key"
-  }
-
   test("physical plan contains GraspAggregateExec") {
     val df = intValued(SynthData.overlapFragments(spark, 2, 50, jaccard = 0.5, seed = 1))
     val out = Grasp.aggregate(df, "key", Seq(AggSpec.sum("v", "s")))
@@ -48,7 +41,7 @@ class GraspAggregateExecSpec extends SparkSpec {
       .repartition(8, col("fragment"))
     val specs = Seq(AggSpec.sum("v", "sum_v"))
     val out = Grasp.aggregate(df, "key", specs)
-    Oracle.assertEquivalent(out, duckSql(specs), "r" -> df)
+    assertMatchesDuck(out, df, specs)
   }
 
   test("all five aggregate functions match DuckDB") {
@@ -58,7 +51,7 @@ class GraspAggregateExecSpec extends SparkSpec {
       AggSpec.sum("v", "sum_v"), AggSpec.min("v", "min_v"), AggSpec.max("v", "max_v"),
       AggSpec.count("n"), AggSpec.avg("v", "avg_v"))
     val out = Grasp.aggregate(df, "key", specs)
-    Oracle.assertEquivalent(out, duckSql(specs), "r" -> df)
+    assertMatchesDuck(out, df, specs)
   }
 
   test("integer key column is supported") {
@@ -130,6 +123,48 @@ class GraspAggregateExecSpec extends SparkSpec {
     val exec = findExec(out.queryExecution.executedPlan).get
     assert(exec.metrics("numPhases").value >= 1)
     assert(exec.metrics("numOutputRows").value == out.count())
+  }
+
+  test("metrics: tuples moved and into destinations equal the simulator's on the same plan") {
+    val n = 6
+    val input = byFragment(
+      intValued(SynthData.overlapFragments(spark, n, 300, jaccard = 0.5, seed = 8)), n)
+    val out = Grasp.aggregate(input, "key", Seq(AggSpec.sum("v", "s")))
+    out.collect()
+    val exec = findExec(out.queryExecution.executedPlan).get
+    // The operator's plan, rebuilt from the same statistics.
+    val part = KeyPartitioner.Hashed(n)
+    val mapping = Mapping.allToAll(n)
+    val stats = Fragments.collectStats(input, n, part, PhasedAggregation.Hasher)
+    val plan = new GraspPlanner(stats, Array.fill(n, n)(1.0), mapping, tupleBytes = 16.0).plan()
+    val data = Fragments.collectClusterData(input, n, part, preAggregated = true)
+    val sim = new Simulator(Topology.uniform(n), 16.0).run(plan, data, mapping)
+    assert(exec.metrics("numPhases").value == plan.numPhases)
+    assert(exec.metrics("tuplesMoved").value == sim.tuplesReceived.sum)
+    assert(exec.metrics("tuplesIntoDestinations").value == sim.tuplesIntoDestinations)
+  }
+
+  test("a query runs one statistics job, one job per phase and one projection job") {
+    val input = byFragment(
+      intValued(SynthData.overlapFragments(spark, 4, 200, jaccard = 0.5, seed = 9)), 4).persist()
+    input.count()
+    val sc = spark.sparkContext
+    def inGroup[T](group: String)(body: => T): T = {
+      sc.setJobGroup(group, group)
+      try body finally sc.clearJobGroup()
+    }
+    val out = Grasp.aggregate(input, "key", Seq(AggSpec.sum("v", "s")))
+    inGroup("grasp-query")(out.collect())
+    // Job events reach the status store in order: once the marker job is
+    // listed, every job of the query is too.
+    inGroup("grasp-marker")(sc.parallelize(Seq(1)).count())
+    eventually(timeout(Span(30, Seconds))) {
+      assert(sc.statusTracker.getJobIdsForGroup("grasp-marker").nonEmpty)
+    }
+    val phases = findExec(out.queryExecution.executedPlan).get.metrics("numPhases").value
+    assert(phases >= 1)
+    assert(sc.statusTracker.getJobIdsForGroup("grasp-query").length == phases + 2)
+    input.unpersist()
   }
 
   test("operator composes with downstream operators (filter + order by)") {

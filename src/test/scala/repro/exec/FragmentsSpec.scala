@@ -37,6 +37,18 @@ class FragmentsSpec extends SparkSpec {
       assert(part.partitionOf(k) == l)
   }
 
+  test("fragment ids outside [0, nFragments) are rejected") {
+    import spark.implicits._
+    for (bad <- Seq(-1, 2)) {
+      val df = Seq((0, 1L), (bad, 2L)).toDF("fragment", "key")
+      val e1 = intercept[IllegalArgumentException](
+        Fragments.collectClusterData(df, 2, KeyPartitioner.Single, preAggregated = true))
+      val e2 = intercept[IllegalArgumentException](
+        Fragments.collectStats(df, 2, KeyPartitioner.Single, hasher))
+      Seq(e1, e2).foreach(e => assert(e.getMessage.contains(s"fragment $bad out of range")))
+    }
+  }
+
   test("collectStats cardinalities equal exact distinct counts") {
     val df = SynthData.overlapFragments(spark, 4, 300, jaccard = 0.25, dupFactor = 3, seed = 2)
     val part = KeyPartitioner.Hashed(2)

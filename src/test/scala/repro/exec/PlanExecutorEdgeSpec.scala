@@ -2,65 +2,62 @@ package repro.exec
 
 import org.apache.spark.sql.functions._
 
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{SparkSpec, SynthData}
+import repro.catalyst.PhasedTestKit.{assertMatchesDuck, runPlan}
 import repro.core._
 
-/** Edge cases of the Spark plan executor. */
+/** Edge cases of the plan executor, `catalyst.PhasedAggregation.execute`. */
 class PlanExecutorEdgeSpec extends SparkSpec {
 
-  private val hasher = new MinHasher(numHashes = 32, seed = 19)
+  private def grasp(nFrags: Int, mapping: Mapping) = (stats: PlannerState) =>
+    GraspPlanner.plan(stats, Topology.uniform(nFrags), mapping, 16.0)
 
   test("empty plan is valid when all data already sits at its destination") {
     import spark.implicits._
     // Only fragment 0 has data and fragment 0 is the destination.
     val df = Seq((0, 1L, 2.0), (0, 1L, 3.0), (0, 2L, 4.0)).toDF("fragment", "key", "v")
-    val r = PlanExecutor.execute(df, Seq(AggSpec.sum("v", "s")), AggPlan(Vector.empty),
-      Mapping.allToOne(0), KeyPartitioner.Single)
+    val specs = Seq(AggSpec.sum("v", "s"))
+    val r = runPlan(df, 2, specs, KeyPartitioner.Single, Mapping.allToOne(0), _ => AggPlan(Vector.empty))
     assert(r.tuplesMoved == 0)
-    Oracle.assertEquivalent(r.result,
-      "SELECT key, CAST(SUM(CAST(v AS DOUBLE)) AS DOUBLE) AS s FROM r GROUP BY key", "r" -> df)
+    assertMatchesDuck(r.result, df, specs)
   }
 
   test("incomplete plans are rejected by the completion check") {
     import spark.implicits._
-    val df = Seq((0, 1L, 1.0), (1, 2L, 1.0)).toDF("fragment", "key", "v")
-    intercept[IllegalArgumentException] {
-      PlanExecutor.execute(df, Seq(AggSpec.sum("v", "s")), AggPlan(Vector.empty),
-        Mapping.allToOne(0), KeyPartitioner.Single)
+    val df = Seq((0, 1L, 1.0), (1, 2L, 1.0), (2, 3L, 1.0)).toDF("fragment", "key", "v")
+    val halfway = AggPlan(Vector(Phase(Vector(Transfer(2, 0, 0)))))
+    val e = intercept[IllegalArgumentException] {
+      runPlan(df, 3, Seq(AggSpec.sum("v", "s")), KeyPartitioner.Single, Mapping.allToOne(0),
+        _ => halfway)
     }
+    assert(e.getMessage.contains("fragment 1 still holds partition 0"), e.getMessage)
   }
 
   test("two partitions mapped to one destination execute correctly") {
     val df = SynthData.uniformFragments(spark, 3, 300, keySpace = 500)
       .withColumn("v", round(col("v") * 10).cast("double"))
-    val part = KeyPartitioner.Hashed(2)
     val mapping = Mapping(Vector(2, 2))
-    val stats = Fragments.collectStats(df, 3, part, hasher)
-    val plan = GraspPlanner.plan(stats, Topology.uniform(3), mapping, 16.0)
-    val r = PlanExecutor.execute(df, Seq(AggSpec.count("n")), plan, mapping, part)
-    Oracle.assertEquivalent(r.result,
-      "SELECT key, COUNT(*) AS n FROM r GROUP BY key", "r" -> df)
+    val specs = Seq(AggSpec.count("n"))
+    val r = runPlan(df, 3, specs, KeyPartitioner.Hashed(2), mapping, grasp(3, mapping))
+    assertMatchesDuck(r.result, df, specs)
   }
 
   test("multi-phase merge keeps AVG exact across uneven fragment sizes") {
     import spark.implicits._
     val rows = (1 to 500).map(i => ((i % 5), (i % 17).toLong, (i % 7).toDouble))
     val df = rows.toDF("fragment", "key", "v")
-    val stats = Fragments.collectStats(df, 5, KeyPartitioner.Single, hasher)
-    val plan = GraspPlanner.plan(stats, Topology.uniform(5), Mapping.allToOne(3), 16.0)
-    assert(plan.numPhases >= 2, "want a multi-phase plan for this test")
-    val r = PlanExecutor.execute(df, Seq(AggSpec.avg("v", "a")), plan,
-      Mapping.allToOne(3), KeyPartitioner.Single)
-    Oracle.assertEquivalent(r.result,
-      "SELECT key, CAST(AVG(CAST(v AS DOUBLE)) AS DOUBLE) AS a FROM r GROUP BY key", "r" -> df)
+    val specs = Seq(AggSpec.avg("v", "a"))
+    val r = runPlan(df, 5, specs, KeyPartitioner.Single, Mapping.allToOne(3),
+      grasp(5, Mapping.allToOne(3)))
+    assert(r.phases >= 2, "want a multi-phase plan for this test")
+    assertMatchesDuck(r.result, df, specs)
   }
 
   test("executor requires at least one aggregate") {
     import spark.implicits._
     val df = Seq((0, 1L, 1.0)).toDF("fragment", "key", "v")
     intercept[IllegalArgumentException] {
-      PlanExecutor.execute(df, Seq.empty, AggPlan(Vector.empty),
-        Mapping.allToOne(0), KeyPartitioner.Single)
+      runPlan(df, 1, Seq.empty, KeyPartitioner.Single, Mapping.allToOne(0), _ => AggPlan(Vector.empty))
     }
   }
 }

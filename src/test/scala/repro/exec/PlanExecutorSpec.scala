@@ -3,12 +3,14 @@ package repro.exec
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{SparkSpec, SynthData}
+import repro.catalyst.PhasedTestKit.{assertMatchesDuck, runPlan}
 import repro.core._
 
-/** Executing GRASP/LOOM/Repart plans with real Spark jobs must produce
-  * exactly the same GROUP BY result as a plain aggregation — checked
-  * against DuckDB so a broken merge order or lost share is caught.
+/** Executing GRASP/LOOM/Repart plans with the plan executor,
+  * `catalyst.PhasedAggregation.execute`, must produce exactly the same
+  * GROUP BY result as a plain aggregation — checked against DuckDB so a
+  * broken merge order or lost share is caught.
   */
 class PlanExecutorSpec extends SparkSpec {
 
@@ -19,91 +21,64 @@ class PlanExecutorSpec extends SparkSpec {
   private def intValued(df: DataFrame): DataFrame =
     df.withColumn("v", round(col("v") * 100).cast("double"))
 
-  private def checkAgainstDuck(result: DataFrame, df: DataFrame, specs: Seq[AggSpec]): Unit = {
-    val aggSql = specs.map {
-      case AggSpec(AggFunc.Sum, in, al)   => s"CAST(SUM(CAST($in AS DOUBLE)) AS DOUBLE) AS $al"
-      case AggSpec(AggFunc.Min, in, al)   => s"CAST(MIN(CAST($in AS DOUBLE)) AS DOUBLE) AS $al"
-      case AggSpec(AggFunc.Max, in, al)   => s"CAST(MAX(CAST($in AS DOUBLE)) AS DOUBLE) AS $al"
-      case AggSpec(AggFunc.Count, _, al)  => s"COUNT(*) AS $al"
-      case AggSpec(AggFunc.Avg, in, al)   => s"CAST(AVG(CAST($in AS DOUBLE)) AS DOUBLE) AS $al"
-    }.mkString(", ")
-    Oracle.assertEquivalent(
-      result,
-      s"SELECT key, $aggSql FROM r GROUP BY key",
-      "r" -> df,
-    )
-  }
-
-  private def scenario(df: DataFrame, nFrags: Int, partitioner: KeyPartitioner, mapping: Mapping) = {
-    val stats = Fragments.collectStats(df, nFrags, partitioner, hasher)
-    val topo = Topology.uniform(nFrags)
-    (stats, topo, GraspPlanner.plan(stats, topo, mapping, W))
-  }
+  private def grasp(nFrags: Int, mapping: Mapping) = (stats: PlannerState) =>
+    GraspPlanner.plan(stats, Topology.uniform(nFrags), mapping, W)
 
   test("GRASP plan, all-to-one, SUM: result matches DuckDB") {
     val df = intValued(SynthData.overlapFragments(spark, 4, 240, jaccard = 0.5, seed = 5))
     val mapping = Mapping.allToOne(0)
-    val (_, _, plan) = scenario(df, 4, KeyPartitioner.Single, mapping)
+    val plan = GraspPlanner.plan(Fragments.collectStats(df, 4, KeyPartitioner.Single, hasher),
+      Topology.uniform(4), mapping, W)
     val specs = Seq(AggSpec.sum("v", "sum_v"))
-    val r = PlanExecutor.execute(df, specs, plan, mapping, KeyPartitioner.Single)
-    checkAgainstDuck(r.result, df, specs)
+    val r = runPlan(df, 4, specs, KeyPartitioner.Single, mapping, _ => plan)
+    assertMatchesDuck(r.result, df, specs)
     assert(r.phases == plan.numPhases)
   }
 
   test("GRASP plan, all-to-all, SUM + COUNT: result matches DuckDB") {
     val df = intValued(SynthData.overlapFragments(spark, 4, 300, jaccard = 0.75, seed = 6))
-    val part = KeyPartitioner.Hashed(4)
-    val mapping = Mapping.allToAll(4)
-    val stats = Fragments.collectStats(df, 4, part, hasher)
-    val topo = Topology.uniform(4)
-    val plan = GraspPlanner.plan(stats, topo, mapping, W)
     val specs = Seq(AggSpec.sum("v", "sum_v"), AggSpec.count("n"))
-    val r = PlanExecutor.execute(df, specs, plan, mapping, part)
-    checkAgainstDuck(r.result, df, specs)
+    val r = runPlan(df, 4, specs, KeyPartitioner.Hashed(4), Mapping.allToAll(4),
+      grasp(4, Mapping.allToAll(4)))
+    assertMatchesDuck(r.result, df, specs)
   }
 
   test("MIN / MAX / AVG aggregates merge correctly through phases") {
     val df = intValued(SynthData.overlapFragments(spark, 4, 200, jaccard = 1.0, seed = 7))
-    val mapping = Mapping.allToOne(1)
-    val (_, _, plan) = scenario(df, 4, KeyPartitioner.Single, mapping)
     val specs = Seq(AggSpec.min("v", "min_v"), AggSpec.max("v", "max_v"), AggSpec.avg("v", "avg_v"))
-    val r = PlanExecutor.execute(df, specs, plan, mapping, KeyPartitioner.Single)
-    checkAgainstDuck(r.result, df, specs)
+    val r = runPlan(df, 4, specs, KeyPartitioner.Single, Mapping.allToOne(1),
+      grasp(4, Mapping.allToOne(1)))
+    assert(r.phases >= 1)
+    assertMatchesDuck(r.result, df, specs)
   }
 
   test("LOOM plan executes to the same result") {
     val df = intValued(SynthData.overlapFragments(spark, 6, 150, jaccard = 0.5, seed = 8))
     val data = Fragments.collectClusterData(df, 6, KeyPartitioner.Single, preAggregated = true)
     val stats = Fragments.collectStats(df, 6, KeyPartitioner.Single, hasher)
-    val topo = Topology.uniform(6)
-    val plan = LoomPlanner.plan(stats, topo, 0, data.globalCardinality(0), W)
+    val plan = LoomPlanner.plan(stats, Topology.uniform(6), 0, data.globalCardinality(0), W)
     val specs = Seq(AggSpec.sum("v", "sum_v"))
-    val r = PlanExecutor.execute(df, specs, plan, Mapping.allToOne(0), KeyPartitioner.Single)
-    checkAgainstDuck(r.result, df, specs)
+    val r = runPlan(df, 6, specs, KeyPartitioner.Single, Mapping.allToOne(0), _ => plan)
+    assertMatchesDuck(r.result, df, specs)
   }
 
   test("Repart plan executes to the same result") {
     val df = intValued(SynthData.overlapFragments(spark, 5, 120, jaccard = 0.25, seed = 9))
-    val stats = Fragments.collectStats(df, 5, KeyPartitioner.Single, hasher)
-    val plan = RepartPlanner.plan(stats, Mapping.allToOne(2))
     val specs = Seq(AggSpec.sum("v", "sum_v"), AggSpec.count("n"))
-    val r = PlanExecutor.execute(df, specs, plan, Mapping.allToOne(2), KeyPartitioner.Single)
-    checkAgainstDuck(r.result, df, specs)
+    val r = runPlan(df, 5, specs, KeyPartitioner.Single, Mapping.allToOne(2),
+      RepartPlanner.plan(_, Mapping.allToOne(2)))
+    assertMatchesDuck(r.result, df, specs)
   }
 
   test("tuples moved: GRASP ships fewer tuples into the destination than Repart") {
     val df = intValued(SynthData.overlapFragments(spark, 6, 300, jaccard = 1.0, seed = 10))
     val mapping = Mapping.allToOne(0)
-    val stats = Fragments.collectStats(df, 6, KeyPartitioner.Single, hasher)
-    val topo = Topology.uniform(6)
     val specs = Seq(AggSpec.sum("v", "sum_v"))
-    val grasp = PlanExecutor.execute(
-      df, specs, GraspPlanner.plan(stats, topo, mapping, W), mapping, KeyPartitioner.Single)
-    val repart = PlanExecutor.execute(
-      df, specs, RepartPlanner.plan(stats, mapping), mapping, KeyPartitioner.Single)
-    assert(grasp.tuplesIntoDestinations < repart.tuplesIntoDestinations,
-      s"grasp=${grasp.tuplesIntoDestinations} repart=${repart.tuplesIntoDestinations}")
-    checkAgainstDuck(grasp.result, df, specs)
+    val g = runPlan(df, 6, specs, KeyPartitioner.Single, mapping, grasp(6, mapping))
+    val repart = runPlan(df, 6, specs, KeyPartitioner.Single, mapping, RepartPlanner.plan(_, mapping))
+    assert(g.tuplesIntoDestinations < repart.tuplesIntoDestinations,
+      s"grasp=${g.tuplesIntoDestinations} repart=${repart.tuplesIntoDestinations}")
+    assertMatchesDuck(g.result, df, specs)
   }
 
   test("executor counts match the simulator's transfer accounting") {
@@ -114,25 +89,16 @@ class PlanExecutorSpec extends SparkSpec {
     val topo = Topology.uniform(5)
     val plan = GraspPlanner.plan(stats, topo, mapping, W)
     val sim = new Simulator(topo, W).run(plan, data, mapping)
-    val ex = PlanExecutor.execute(df, Seq(AggSpec.sum("v", "s")), plan, mapping, KeyPartitioner.Single)
+    val ex = runPlan(df, 5, Seq(AggSpec.sum("v", "s")), KeyPartitioner.Single, mapping, _ => plan)
     assert(ex.tuplesIntoDestinations == sim.tuplesIntoDestinations)
     assert(ex.tuplesMoved == sim.tuplesReceived.sum)
   }
 
-  test("direct aggregation matches DuckDB (baseline sanity)") {
-    val df = intValued(SynthData.reviewsLike(spark, 3, 500, nUsers = 200, seed = 12))
-    val specs = Seq(AggSpec.avg("v", "avg_v"), AggSpec.count("n"))
-    checkAgainstDuck(PlanExecutor.direct(df, specs), df, specs)
-  }
-
   test("tpchQ18Fragments executes the paper's Q18 subquery correctly") {
     val df = SynthData.tpchQ18Fragments(spark, 4, sf = 0.002, seed = 1)
-    val mapping = Mapping.allToOne(0)
-    val stats = Fragments.collectStats(df, 4, KeyPartitioner.Single, hasher)
-    val topo = Topology.uniform(4)
-    val plan = GraspPlanner.plan(stats, topo, mapping, W)
     val specs = Seq(AggSpec.sum("v", "sum_quantity"))
-    val r = PlanExecutor.execute(df, specs, plan, mapping, KeyPartitioner.Single)
-    checkAgainstDuck(r.result, df, specs)
+    val r = runPlan(df, 4, specs, KeyPartitioner.Single, Mapping.allToOne(0),
+      grasp(4, Mapping.allToOne(0)))
+    assertMatchesDuck(r.result, df, specs)
   }
 }
