@@ -1,5 +1,7 @@
 package repro.catalyst
 
+import java.util.concurrent.TimeUnit.NANOSECONDS
+
 import scala.collection.mutable
 
 import org.apache.spark.{NarrowDependency, Partition, SparkContext, TaskContext}
@@ -172,7 +174,8 @@ final class MergePhaseRDD(
   *   5. projection of the final hash tables to unsafe rows.
   *
   * SQL metrics expose the phase count, the tuples moved between fragments
-  * and those received by their destination fragment (Table 2).
+  * and those received by their destination fragment (Table 2), and the
+  * wall-clock of step 3's `plan` call.
   */
 object PhasedAggregation {
 
@@ -185,6 +188,7 @@ object PhasedAggregation {
     "tuplesMoved" -> SQLMetrics.createMetric(sc, "tuples moved between fragments"),
     "tuplesIntoDestinations" -> SQLMetrics.createMetric(sc, "tuples into their destination"),
     "numOutputRows" -> SQLMetrics.createMetric(sc, "number of output rows"),
+    "planningTime" -> SQLMetrics.createTimingMetric(sc, "GRASP planning time"),
   )
 
   private def toDouble(row: InternalRow, ord: Int, dt: DataType): Double =
@@ -262,7 +266,9 @@ object PhasedAggregation {
 
     // --- 3. planning (steps 3-8 of Fig. 5), and the plan replayed on the
     // statistics to check that every share ends at its destination.
+    val planStart = System.nanoTime()
     val aggPlan = plan(PlannerState.fromStats(card, sigs, hasher))
+    metrics("planningTime").add(NANOSECONDS.toMillis(System.nanoTime() - planStart))
     metrics("numPhases").add(aggPlan.numPhases)
     val replay = PlannerState.fromStats(card, sigs, hasher)
     aggPlan.transfers.foreach(t => replay.update(t.src, t.dst, t.partition))

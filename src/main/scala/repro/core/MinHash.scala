@@ -80,15 +80,23 @@ final class MinHasher(val numHashes: Int = MinHasher.PaperHashes, seed: Long = 4
 
   /** Estimated Jaccard similarity: fraction of agreeing components (Fig. 6).
     * Two empty sets are defined to have similarity 0 so that
-    * ESTCARD(∅, ∅) = 0.
+    * ESTCARD(∅, ∅) = 0. One pass: both are empty iff every component agrees
+    * on "+infinity".
     */
   def estimateJaccard(s1: Array[Long], s2: Array[Long]): Double = {
     require(s1.length == numHashes && s2.length == numHashes, "signature arity mismatch")
-    if (isEmptySignature(s1) && isEmptySignature(s2)) return 0.0
     var agree = 0
+    var agreeEmpty = 0
     var j = 0
-    while (j < numHashes) { if (s1(j) == s2(j)) agree += 1; j += 1 }
-    agree.toDouble / numHashes
+    while (j < numHashes) {
+      val h = s1(j)
+      if (h == s2(j)) {
+        agree += 1
+        if (h == Long.MaxValue) agreeEmpty += 1
+      }
+      j += 1
+    }
+    if (agreeEmpty == numHashes) 0.0 else agree.toDouble / numHashes
   }
 }
 

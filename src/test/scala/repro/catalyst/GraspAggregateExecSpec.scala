@@ -125,6 +125,16 @@ class GraspAggregateExecSpec extends SparkSpec {
     assert(exec.metrics("numOutputRows").value == out.count())
   }
 
+  test("planningTime metric is a timing metric set by the query") {
+    val df = intValued(SynthData.overlapFragments(spark, 4, 100, jaccard = 0.5, seed = 6))
+      .repartition(4, col("fragment"))
+    val out = Grasp.aggregate(df, "key", Seq(AggSpec.sum("v", "s")))
+    out.collect()
+    val planning = findExec(out.queryExecution.executedPlan).get.metrics("planningTime")
+    assert(planning.metricType == "timing")
+    assert(!planning.isZero, "planningTime was never set")
+  }
+
   test("metrics: tuples moved and into destinations equal the simulator's on the same plan") {
     val n = 6
     val input = byFragment(

@@ -179,6 +179,65 @@ class GraspPlannerSpec extends AnyFunSuite with PropChecks {
     }
   }
 
+  // --- Oracle: the incremental planner returns the rescanning reference's plans.
+
+  private def assertSamePlan(stats: PlannerState, bw: Array[Array[Double]], mapping: Mapping): Unit = {
+    val plan = new GraspPlanner(stats, bw, mapping, W).plan()
+    val reference = new ReferenceGraspPlanner(stats, bw, mapping, W).plan()
+    assert(plan == reference, s"mapping=${mapping.destinationOf}")
+  }
+
+  /** n fragments, m partitions mapped to random (possibly shared)
+    * destinations, and small key sets, a third of them empty, hashed with 8
+    * minhashes so that Jaccard ties are common.
+    */
+  private val oracleInstance: Gen[(Int, PlannerState, Mapping)] = for {
+    n <- Gen.chooseNum(2, 12)
+    m <- Gen.chooseNum(1, n)
+    dests <- Gen.listOfN(m, Gen.chooseNum(0, n - 1))
+    share = Gen.frequency(1 -> Gen.const(Nil), 2 -> Gen.nonEmptyListOf(Gen.chooseNum(0L, 30L)))
+    keys <- Gen.listOfN(n, Gen.listOfN(m, share))
+    seed <- Gen.chooseNum(0L, 1000L)
+  } yield (n, PlannerState.fromKeySets(keys.map(_.map(_.toArray).toArray).toArray,
+    new MinHasher(numHashes = 8, seed = seed)), Mapping(dests.toVector))
+
+  test("oracle: same plans as the reference planner, uniform bandwidth (all costs tie)") {
+    forAllSampled(oracleInstance) { case (n, stats, mapping) =>
+      assertSamePlan(stats, Topology.uniform(n).bandwidthMatrix, mapping)
+    }
+  }
+
+  test("oracle: same plans as the reference planner, colocated bandwidth") {
+    forAllSampled(oracleInstance, Gen.chooseNum(1, 4)) { case ((n, stats, mapping), perMachine) =>
+      val topo = Topology(Vector.tabulate(n)(_ / perMachine), Topology.OneGbps, Topology.OneGbps,
+        Topology.IntraMachine)
+      assertSamePlan(stats, topo.bandwidthMatrix, mapping)
+    }
+  }
+
+  test("oracle: same plans as the reference planner, random bandwidth") {
+    val instance = for {
+      (n, stats, mapping) <- oracleInstance
+      bw <- Gen.listOfN(n, Gen.listOfN(n, Gen.chooseNum(1, 8).map(_.toDouble)))
+    } yield (stats, bw.map(_.toArray).toArray, mapping)
+    forAllSampled(instance) { case (stats, bw, mapping) => assertSamePlan(stats, bw, mapping) }
+  }
+
+  test("oracle: same plans as the reference planner, 28 colocated fragments all-to-all") {
+    val raw = LocalGen.uniformDraws(28, 400, keySpace = 400, seed = 5)
+    val (_, stats) = LocalGen.scenario(raw, KeyPartitioner.Hashed(28), preAggregated = true, hasher)
+    assertSamePlan(stats, Topology.colocated(2, 14).bandwidthMatrix, Mapping.allToAll(28))
+  }
+
+  test("oracle: same plans as the reference planner, 8 identical fragments (every cost ties)") {
+    val raw = Array.fill(8)((0L until 64L).toArray)
+    val bw = Topology.uniform(8).bandwidthMatrix
+    val (_, one) = LocalGen.scenario(raw, KeyPartitioner.Single, preAggregated = true, hasher)
+    assertSamePlan(one, bw, Mapping.allToOne(0))
+    val (_, all) = LocalGen.scenario(raw, KeyPartitioner.Hashed(8), preAggregated = true, hasher)
+    assertSamePlan(all, bw, Mapping.allToAll(8))
+  }
+
   test("property: random all-to-all instances terminate with a valid complete plan") {
     val gen = for {
       n <- Gen.chooseNum(2, 6)
