@@ -2,8 +2,6 @@ package repro.catalyst
 
 import java.util.concurrent.TimeUnit.NANOSECONDS
 
-import scala.collection.mutable
-
 import org.apache.spark.{NarrowDependency, Partition, SparkContext, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.catalyst.InternalRow
@@ -16,10 +14,10 @@ import org.apache.spark.storage.StorageLevel
 import repro.core.{AggPlan, GraspPlanner, KeyPartitioner, Mapping, MinHasher, PlannerState}
 import repro.exec.{AggFunc, AggSpec}
 
-/** Mutable aggregation-state algebra over a flat `Array[Double]` — the
-  * per-key hash-table payload the operator carries between merge phases.
-  * NaN input values are treated as SQL NULLs (skipped by everything except
-  * COUNT(*)).
+/** Mutable aggregation-state algebra over flat `Array[Double]`s: every
+  * method addresses one key's state as `totalSlots` doubles starting at a
+  * base offset, the layout of [[StateTable]]. NaN input values are treated
+  * as SQL NULLs (skipped by everything except COUNT(*)).
   */
 final class AggStateOps(specs: Seq[AggSpec]) extends Serializable {
   import AggFunc._
@@ -32,25 +30,28 @@ final class AggStateOps(specs: Seq[AggSpec]) extends Serializable {
   val totalSlots: Int = slots.sum
   private val funcs: Array[AggFunc] = specs.map(_.func).toArray
 
-  def newState(): Array[Double] = {
-    val st = new Array[Double](totalSlots)
+  /** Sets the state at `st(base)` to the state of no rows. */
+  def init(st: Array[Double], base: Int): Unit = {
     var i = 0
     while (i < funcs.length) {
+      val o = base + offsets(i)
       funcs(i) match {
-        case Min => st(offsets(i)) = Double.PositiveInfinity
-        case Max => st(offsets(i)) = Double.NegativeInfinity
-        case _   => ()
+        case Min => st(o) = Double.PositiveInfinity
+        case Max => st(o) = Double.NegativeInfinity
+        case Avg => st(o) = 0.0; st(o + 1) = 0.0
+        case _   => st(o) = 0.0
       }
       i += 1
     }
-    st
   }
 
-  /** Fold one input row's values (one per spec, NaN = NULL) into `st`. */
-  def update(st: Array[Double], values: Array[Double]): Unit = {
+  /** Fold one input row's values (one per spec, NaN = NULL) into the state
+    * at `st(base)`.
+    */
+  def update(st: Array[Double], base: Int, values: Array[Double]): Unit = {
     var i = 0
     while (i < funcs.length) {
-      val o = offsets(i)
+      val o = base + offsets(i)
       val v = values(i)
       funcs(i) match {
         case Count             => st(o) += 1
@@ -64,59 +65,74 @@ final class AggStateOps(specs: Seq[AggSpec]) extends Serializable {
     }
   }
 
-  /** Merge state `b` into `a` (associative + commutative). */
-  def merge(a: Array[Double], b: Array[Double]): Unit = {
+  /** Merge the state at `b(bBase)` into the one at `a(aBase)` (associative
+    * and commutative).
+    */
+  def merge(a: Array[Double], aBase: Int, b: Array[Double], bBase: Int): Unit = {
     var i = 0
     while (i < funcs.length) {
-      val o = offsets(i)
+      val o = aBase + offsets(i)
+      val p = bBase + offsets(i)
       funcs(i) match {
-        case Sum | Count => a(o) += b(o)
-        case Min         => if (b(o) < a(o)) a(o) = b(o)
-        case Max         => if (b(o) > a(o)) a(o) = b(o)
-        case Avg         => a(o) += b(o); a(o + 1) += b(o + 1)
+        case Sum | Count => a(o) += b(p)
+        case Min         => if (b(p) < a(o)) a(o) = b(p)
+        case Max         => if (b(p) > a(o)) a(o) = b(p)
+        case Avg         => a(o) += b(p); a(o + 1) += b(p + 1)
       }
       i += 1
     }
   }
 
-  /** Finalized value of spec `i` (Long for COUNT, Double otherwise). */
-  def finalValue(st: Array[Double], i: Int): Any = funcs(i) match {
-    case Count => st(offsets(i)).toLong
-    case Avg   => if (st(offsets(i) + 1) == 0) null else st(offsets(i)) / st(offsets(i) + 1)
-    case Min   => if (st(offsets(i)).isPosInfinity) null else st(offsets(i))
-    case Max   => if (st(offsets(i)).isNegInfinity) null else st(offsets(i))
-    case Sum   => st(offsets(i))
+  /** Finalized value of spec `i` of the state at `st(base)` (Long for
+    * COUNT, Double otherwise).
+    */
+  def finalValue(st: Array[Double], base: Int, i: Int): Any = {
+    val o = base + offsets(i)
+    funcs(i) match {
+      case Count => st(o).toLong
+      case Avg   => if (st(o + 1) == 0) null else st(o) / st(o + 1)
+      case Min   => if (st(o).isPosInfinity) null else st(o)
+      case Max   => if (st(o).isNegInfinity) null else st(o)
+      case Sum   => st(o)
+    }
   }
 }
 
-/** Partition of a [[MergePhaseRDD]]: the fragment's own parent partition
-  * plus the parent partitions scheduled to arrive this phase (captured on
-  * the driver — parent `partitions` arrays are not available on executors).
+/** Partition of a [[MergePhaseRDD]]: the fragment's own parent partition,
+  * the partitions `l` it ships out this phase, and each parent partition
+  * scheduled to send it shares, with the `l`s it sends (captured on the
+  * driver — parent `partitions` arrays are not available on executors).
   */
 private final class MergePhasePartition(
     override val index: Int,
     val own: Partition,
-    val incoming: Array[(Partition, Int)], // (src parent partition, data partition l)
+    val sent: Array[Int],
+    val sources: Array[(Partition, Array[Int])],
 ) extends Partition
 
 /** One GRASP phase as a narrow RDD transformation.
   *
-  * Partition `p` of this RDD holds fragment `p`'s hash table after the
-  * phase: its previous contents minus the shares it sent away, plus the
-  * shares scheduled to arrive, merged key-by-key. The dependency set is
-  * exactly the scheduled transfers, so the "network" of the paper becomes
-  * the partition-to-partition edges of the DAG. `movedMetric` counts the
-  * tuples that crossed fragments, `intoDestMetric` those that reached
-  * their partition's destination (Table 2).
+  * Every partition of the operator's RDDs holds one element: its fragment's
+  * `m` shares, one [[StateTable]] per data partition `l`. Partition `p` of
+  * this RDD holds fragment `p`'s shares after the phase: a copy of the
+  * parent's array of table references in which the shares sent away are
+  * empty and each share that receives data is the [[StateTable.union]] of
+  * its own table and the arriving ones. Only those arriving tables are read,
+  * so a phase does work in proportion to the tuples it moves; every other
+  * share is passed on by reference. The dependency set is exactly the
+  * scheduled transfers, so the "network" of the paper becomes the
+  * partition-to-partition edges of the DAG.
+  *
+  * Invariant: no table is changed after the task that built it returns it.
+  * That is what makes it safe for cached blocks of consecutive phases to
+  * share tables, and for Spark to recompute any phase partition from its
+  * parents.
   */
 final class MergePhaseRDD(
-    prev: RDD[(Int, Long, Array[Double])],
+    prev: RDD[Array[StateTable]],
     sends: Map[(Int, Int), Int], // (srcFragment, partition) -> dstFragment
-    mapping: Mapping,
     ops: AggStateOps,
-    movedMetric: SQLMetric,
-    intoDestMetric: SQLMetric,
-) extends RDD[(Int, Long, Array[Double])](
+) extends RDD[Array[StateTable]](
       prev.sparkContext,
       Seq(new NarrowDependency(prev) {
         override def getParents(pid: Int): Seq[Int] =
@@ -126,36 +142,38 @@ final class MergePhaseRDD(
   override def getPartitions: Array[Partition] = {
     val parents = prev.partitions
     Array.tabulate(parents.length) { pid =>
-      val incoming = sends.toArray.collect { case ((s, l), `pid`) => (parents(s), l) }
-      new MergePhasePartition(pid, parents(pid), incoming)
+      val sent = sends.keys.collect { case (`pid`, l) => l }.toArray
+      val sources = sends.toArray.collect { case ((s, l), `pid`) => (s, l) }
+        .groupBy(_._1).toArray.sortBy(_._1)
+        .map { case (s, ls) => (parents(s), ls.map(_._2)) }
+      new MergePhasePartition(pid, parents(pid), sent, sources)
     }
   }
 
-  override def compute(split: Partition, ctx: TaskContext): Iterator[(Int, Long, Array[Double])] = {
+  override def compute(split: Partition, ctx: TaskContext): Iterator[Array[StateTable]] = {
     val part = split.asInstanceOf[MergePhasePartition]
-    val pid = part.index
-    val parent = firstParent[(Int, Long, Array[Double])]
-    val table = new mutable.HashMap[(Int, Long), Array[Double]]
-    // Own rows, minus the shares this fragment ships out this phase.
-    parent.iterator(part.own, ctx).foreach { case (l, k, st) =>
-      if (!sends.contains((pid, l))) table.put((l, k), st.clone())
+    val parent = firstParent[Array[StateTable]]
+    val shares = single(parent.iterator(part.own, ctx)).clone()
+    val empty = new StateTable(ops, 0)
+    part.sent.foreach(l => shares(l) = empty)
+    // Arriving shares, merged into the local ones (Eq. 1 / Eq. 6).
+    val arriving = part.sources.flatMap { case (src, ls) =>
+      val from = single(parent.iterator(src, ctx))
+      ls.map(l => l -> from(l))
     }
-    // Arriving shares, merged into the local hash table (Eq. 1 / Eq. 6).
-    part.incoming.foreach { case (srcPart, l) =>
-      var tuples = 0L
-      parent.iterator(srcPart, ctx).foreach { case (l2, k, st) =>
-        if (l2 == l) {
-          tuples += 1
-          table.get((l, k)) match {
-            case Some(acc) => ops.merge(acc, st)
-            case None      => table.put((l, k), st.clone())
-          }
-        }
-      }
-      movedMetric.add(tuples)
-      if (mapping(l) == pid) intoDestMetric.add(tuples)
+    arriving.groupBy(_._1).foreach { case (l, in) =>
+      shares(l) = StateTable.union(ops, shares(l) +: in.map(_._2).toSeq)
     }
-    table.iterator.map { case ((l, k), st) => (l, k, st) }
+    Iterator.single(shares)
+  }
+
+  /** The one element of a parent partition. Draining the iterator releases
+    * the read lock of a cached block.
+    */
+  private def single(it: Iterator[Array[StateTable]]): Array[StateTable] = {
+    val shares = it.next()
+    require(!it.hasNext, "a fragment partition holds one element")
+    shares
   }
 }
 
@@ -163,19 +181,21 @@ final class MergePhaseRDD(
   * an RDD whose partition `v` is plan fragment `v`.
   *
   * Execution:
-  *   1. partial hash aggregation per fragment, keys split into partitions
-  *      by `partitioner`;
+  *   1. partial hash aggregation per fragment into one [[StateTable]] per
+  *      partition `l` of `partitioner`;
   *   2. per-(fragment, partition) cardinality + minhash statistics,
   *      collected to the driver (step 2–3 of Fig. 5);
   *   3. `plan` over those statistics (steps 4–8), replayed on the driver to
   *      check that it leaves every share at its destination (Eq. 7);
   *   4. one [[MergePhaseRDD]] per phase (step 9), each materialized and
   *      cached so a share is computed exactly once;
-  *   5. projection of the final hash tables to unsafe rows.
+  *   5. projection of the final tables to unsafe rows.
   *
   * SQL metrics expose the phase count, the tuples moved between fragments
   * and those received by their destination fragment (Table 2), and the
-  * wall-clock of step 3's `plan` call.
+  * wall-clock of steps 1–2 together (one job), of step 3's `plan` call and
+  * of step 4. The tuple counts are added on the driver, once per phase, so
+  * a phase partition that Spark recomputes does not count twice.
   */
 object PhasedAggregation {
 
@@ -188,7 +208,9 @@ object PhasedAggregation {
     "tuplesMoved" -> SQLMetrics.createMetric(sc, "tuples moved between fragments"),
     "tuplesIntoDestinations" -> SQLMetrics.createMetric(sc, "tuples into their destination"),
     "numOutputRows" -> SQLMetrics.createMetric(sc, "number of output rows"),
+    "statisticsTime" -> SQLMetrics.createTimingMetric(sc, "GRASP local aggregation and statistics time"),
     "planningTime" -> SQLMetrics.createTimingMetric(sc, "GRASP planning time"),
+    "mergePhasesTime" -> SQLMetrics.createTimingMetric(sc, "GRASP merge phases time"),
   )
 
   private def toDouble(row: InternalRow, ord: Int, dt: DataType): Double =
@@ -204,7 +226,7 @@ object PhasedAggregation {
     }
 
   /** Runs the phases before it returns; the projection runs when the
-    * returned rows `(key, agg1, agg2 …)` are consumed.
+    * returned rows `(key, agg1, agg2 …)` are consumed, so no metric times it.
     */
   def execute(
       rows: RDD[InternalRow],
@@ -233,34 +255,32 @@ object PhasedAggregation {
     val m = partitioner.numPartitions
     val nSpecs = specs.size
     val keyIsLong = keyType == LongType
+    def millisSince(start: Long): Long = NANOSECONDS.toMillis(System.nanoTime() - start)
 
     // --- 1. local partial aggregation per fragment (Fig. 5 step 2).
-    val local: RDD[(Int, Long, Array[Double])] = rows.mapPartitions { it =>
-      val table = new mutable.HashMap[(Int, Long), Array[Double]]
+    val local: RDD[Array[StateTable]] = rows.mapPartitions { it =>
+      val shares = Array.fill(m)(new StateTable(ops, 0))
       val values = new Array[Double](nSpecs)
       it.foreach { row =>
         if (!row.isNullAt(keyOrd)) {
           val key = if (keyIsLong) row.getLong(keyOrd) else row.getInt(keyOrd).toLong
           var i = 0
           while (i < nSpecs) { values(i) = toDouble(row, inOrds(i), inTypes(i)); i += 1 }
-          val st = table.getOrElseUpdate(
-            (partitioner.partitionOf(key), key), ops.newState())
-          ops.update(st, values)
+          shares(partitioner.partitionOf(key)).update(key, values)
         }
       }
-      table.iterator.map { case ((l, k), st) => (l, k, st) }
+      Iterator.single(shares)
     }
     local.persist(StorageLevel.MEMORY_AND_DISK)
 
     // --- 2. statistics: cardinality + minhash per (fragment, partition),
     // collected in partition order.
     val hasher = Hasher
-    val statRows = local.mapPartitions { it =>
-      val card = new Array[Long](m)
-      val sigs = Array.fill(m)(hasher.emptySignature)
-      it.foreach { case (l, k, _) => card(l) += 1; hasher.add(sigs(l), k) }
-      Iterator.single((card, sigs))
+    val statsStart = System.nanoTime()
+    val statRows = local.map { shares =>
+      (shares.map(_.size.toLong), shares.map(t => hasher.signature(Iterator.tabulate(t.size)(t.key))))
     }.collect()
+    metrics("statisticsTime").add(millisSince(statsStart))
     val card = statRows.map(_._1)
     val sigs = statRows.map(_._2)
 
@@ -268,7 +288,7 @@ object PhasedAggregation {
     // statistics to check that every share ends at its destination.
     val planStart = System.nanoTime()
     val aggPlan = plan(PlannerState.fromStats(card, sigs, hasher))
-    metrics("planningTime").add(NANOSECONDS.toMillis(System.nanoTime() - planStart))
+    metrics("planningTime").add(millisSince(planStart))
     metrics("numPhases").add(aggPlan.numPhases)
     val replay = PlannerState.fromStats(card, sigs, hasher)
     aggPlan.transfers.foreach(t => replay.update(t.src, t.dst, t.partition))
@@ -276,28 +296,39 @@ object PhasedAggregation {
       require(!replay.hasData(v, l),
         s"plan incomplete: fragment $v still holds partition $l, whose destination is ${mapping(l)}")
 
-    // --- 4. one narrow merge step per phase, each materialized once.
+    // --- 4. one narrow merge step per phase, each materialized once by a
+    // job that returns the size of every share after the phase. A transfer
+    // moves its sender's whole share, so the driver counts it from the sizes
+    // before the phase (the statistics' exact cardinalities for the first).
+    val phasesStart = System.nanoTime()
     var state = local
+    var sizes = card
     aggPlan.phases.foreach { phase =>
       val sends = phase.transfers.map(t => (t.src, t.partition) -> t.dst).toMap
-      val next = new MergePhaseRDD(state, sends, mapping, ops,
-        metrics("tuplesMoved"), metrics("tuplesIntoDestinations"))
+      phase.transfers.foreach { t =>
+        val tuples = sizes(t.src)(t.partition)
+        metrics("tuplesMoved").add(tuples)
+        if (mapping(t.partition) == t.dst) metrics("tuplesIntoDestinations").add(tuples)
+      }
+      val next = new MergePhaseRDD(state, sends, ops)
       next.persist(StorageLevel.MEMORY_AND_DISK)
-      next.count()
+      sizes = next.map(_.map(_.size.toLong)).collect()
       state.unpersist(blocking = false)
       state = next
     }
+    metrics("mergePhasesTime").add(millisSince(phasesStart))
 
-    // --- 5. project the destination hash tables to output rows.
+    // --- 5. project the destination tables to output rows.
     val outTypes = (keyType +: specs.map(GraspAggregate.resultType)).toArray
     val numOutput = metrics("numOutputRows")
     state.mapPartitions { it =>
       val proj = UnsafeProjection.create(outTypes)
       val row = new GenericInternalRow(1 + nSpecs)
-      it.map { case (_, k, st) =>
+      for (shares <- it; t <- shares.iterator; e <- Iterator.range(0, t.size)) yield {
+        val k = t.key(e)
         if (keyIsLong) row.update(0, k) else row.update(0, k.toInt)
         var i = 0
-        while (i < nSpecs) { row.update(1 + i, ops.finalValue(st, i)); i += 1 }
+        while (i < nSpecs) { row.update(1 + i, ops.finalValue(t.states, e * t.width, i)); i += 1 }
         numOutput.add(1)
         proj.apply(row).copy()
       }

@@ -7,7 +7,7 @@ import org.scalatest.time.{Seconds, Span}
 
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.catalyst.PhasedTestKit.{assertMatchesDuck, byFragment}
-import repro.core.{GraspPlanner, KeyPartitioner, Mapping, Simulator, Topology}
+import repro.core.{GraspPlanner, KeyPartitioner, Mapping, PlannerState, Simulator, Topology}
 import repro.exec.{AggSpec, Fragments}
 
 /** End-to-end tests of the GRASP Catalyst physical operator against DuckDB.
@@ -130,9 +130,33 @@ class GraspAggregateExecSpec extends SparkSpec {
       .repartition(4, col("fragment"))
     val out = Grasp.aggregate(df, "key", Seq(AggSpec.sum("v", "s")))
     out.collect()
-    val planning = findExec(out.queryExecution.executedPlan).get.metrics("planningTime")
-    assert(planning.metricType == "timing")
-    assert(!planning.isZero, "planningTime was never set")
+    val exec = findExec(out.queryExecution.executedPlan).get
+    Seq("statisticsTime", "planningTime", "mergePhasesTime").foreach { name =>
+      val timing = exec.metrics(name)
+      assert(timing.metricType == "timing", name)
+      assert(!timing.isZero, s"$name was never set")
+    }
+  }
+
+  test("metrics count each phase once when Spark recomputes the query's partitions") {
+    val n = 6
+    val df = intValued(SynthData.overlapFragments(spark, n, 300, jaccard = 0.5, seed = 10))
+    val specs = Seq(AggSpec.sum("v", "s"), AggSpec.count("c"))
+    val sc = spark.sparkContext
+    val persistedBefore = sc.getPersistentRDDs.keySet
+    val grasp = (stats: PlannerState) =>
+      new GraspPlanner(stats, Array.fill(n, n)(1.0), Mapping.allToAll(n), tupleBytes = 16.0).plan()
+    val run = PhasedTestKit.runPlan(df, n, specs, KeyPartitioner.Hashed(n), Mapping.allToAll(n), grasp)
+    def counts = Seq("numPhases", "tuplesMoved", "tuplesIntoDestinations").map(run.metrics(_).value)
+    assertMatchesDuck(run.result, df, specs)
+    val first = counts
+    assert(first.head > 1, s"want several phases, got $first")
+    val persisted = sc.getPersistentRDDs.filter { case (id, _) => !persistedBefore(id) }.values
+    assert(persisted.nonEmpty)
+    persisted.foreach(_.unpersist(blocking = true))
+    // Every phase partition is computed again from the input.
+    assertMatchesDuck(run.result, df, specs)
+    assert(counts == first)
   }
 
   test("metrics: tuples moved and into destinations equal the simulator's on the same plan") {

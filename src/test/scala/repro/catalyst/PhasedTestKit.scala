@@ -2,6 +2,7 @@ package repro.catalyst
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.execution.metric.SQLMetric
 import org.apache.spark.sql.types.{StructField, StructType}
 
 import repro.Oracle
@@ -18,6 +19,7 @@ object PhasedTestKit {
       tuplesMoved: Long,
       tuplesIntoDestinations: Long,
       phases: Long,
+      metrics: Map[String, SQLMetric],
   )
 
   /** `df` with fragment `f` as partition `f` of `nFragments`, so that
@@ -55,7 +57,7 @@ object PhasedTestKit {
     val types = schema.map(_.dataType).toArray
     val rows = out.map(r => Row.fromSeq(types.indices.map(i => r.get(i, types(i)))))
     Result(spark.createDataFrame(rows, schema), metrics("tuplesMoved").value,
-      metrics("tuplesIntoDestinations").value, metrics("numPhases").value)
+      metrics("tuplesIntoDestinations").value, metrics("numPhases").value, metrics)
   }
 
   /** DuckDB's `SELECT key, specs FROM r GROUP BY key`, with every aggregate
