@@ -98,6 +98,18 @@ final class AggStateOps(specs: Seq[AggSpec]) extends Serializable {
   }
 }
 
+/** One fragment's partition of the operator's RDDs: its `m` shares, one
+  * [[StateTable]] per data partition `l`, and the tuples it has received
+  * in all phases so far, in total and into the shares whose destination it
+  * is. The totals are part of the element, so a recomputed partition
+  * carries the same counts and nothing is counted twice.
+  */
+final class FragmentState(
+    val shares: Array[StateTable],
+    val received: Long,
+    val receivedIntoDestination: Long,
+) extends Serializable
+
 /** Partition of a [[MergePhaseRDD]]: the fragment's own parent partition,
   * the partitions `l` it ships out this phase, and each parent partition
   * scheduled to send it shares, with the `l`s it sends (captured on the
@@ -112,16 +124,21 @@ private final class MergePhasePartition(
 
 /** One GRASP phase as a narrow RDD transformation.
   *
-  * Every partition of the operator's RDDs holds one element: its fragment's
-  * `m` shares, one [[StateTable]] per data partition `l`. Partition `p` of
-  * this RDD holds fragment `p`'s shares after the phase: a copy of the
-  * parent's array of table references in which the shares sent away are
+  * Partition `p` of this RDD holds fragment `p` after the phase: a copy of
+  * the parent's array of table references in which the shares sent away are
   * empty and each share that receives data is the [[StateTable.union]] of
-  * its own table and the arriving ones. Only those arriving tables are read,
-  * so a phase does work in proportion to the tuples it moves; every other
-  * share is passed on by reference. The dependency set is exactly the
+  * its own table and the arriving ones, with the arriving tables' sizes
+  * added to the fragment's running totals. Only those arriving tables are
+  * read, so a phase does work in proportion to the tuples it moves; every
+  * other share is passed on by reference. The dependency set is exactly the
   * scheduled transfers, so the "network" of the paper becomes the
   * partition-to-partition edges of the DAG.
+  *
+  * The phases of a plan are chained and persisted, and one job on the last
+  * phase materializes the whole chain: each task pulls its lineage through
+  * the block manager, whose first-writer-wins block locks compute every
+  * (phase, fragment) block exactly once. A task only waits for blocks of
+  * earlier phases than the one it holds, so the waits cannot form a cycle.
   *
   * Invariant: no table is changed after the task that built it returns it.
   * That is what makes it safe for cached blocks of consecutive phases to
@@ -129,10 +146,11 @@ private final class MergePhasePartition(
   * parents.
   */
 final class MergePhaseRDD(
-    prev: RDD[Array[StateTable]],
+    prev: RDD[FragmentState],
     sends: Map[(Int, Int), Int], // (srcFragment, partition) -> dstFragment
+    mapping: Mapping,
     ops: AggStateOps,
-) extends RDD[Array[StateTable]](
+) extends RDD[FragmentState](
       prev.sparkContext,
       Seq(new NarrowDependency(prev) {
         override def getParents(pid: Int): Seq[Int] =
@@ -150,30 +168,36 @@ final class MergePhaseRDD(
     }
   }
 
-  override def compute(split: Partition, ctx: TaskContext): Iterator[Array[StateTable]] = {
+  override def compute(split: Partition, ctx: TaskContext): Iterator[FragmentState] = {
     val part = split.asInstanceOf[MergePhasePartition]
-    val parent = firstParent[Array[StateTable]]
-    val shares = single(parent.iterator(part.own, ctx)).clone()
+    val parent = firstParent[FragmentState]
+    val own = single(parent.iterator(part.own, ctx))
+    val shares = own.shares.clone()
     val empty = new StateTable(ops, 0)
     part.sent.foreach(l => shares(l) = empty)
     // Arriving shares, merged into the local ones (Eq. 1 / Eq. 6).
     val arriving = part.sources.flatMap { case (src, ls) =>
-      val from = single(parent.iterator(src, ctx))
+      val from = single(parent.iterator(src, ctx)).shares
       ls.map(l => l -> from(l))
     }
+    var received = own.received
+    var intoDestination = own.receivedIntoDestination
     arriving.groupBy(_._1).foreach { case (l, in) =>
+      val tuples = in.map(_._2.size.toLong).sum
+      received += tuples
+      if (mapping(l) == part.index) intoDestination += tuples
       shares(l) = StateTable.union(ops, shares(l) +: in.map(_._2).toSeq)
     }
-    Iterator.single(shares)
+    Iterator.single(new FragmentState(shares, received, intoDestination))
   }
 
   /** The one element of a parent partition. Draining the iterator releases
     * the read lock of a cached block.
     */
-  private def single(it: Iterator[Array[StateTable]]): Array[StateTable] = {
-    val shares = it.next()
+  private def single(it: Iterator[FragmentState]): FragmentState = {
+    val fragment = it.next()
     require(!it.hasNext, "a fragment partition holds one element")
-    shares
+    fragment
   }
 }
 
@@ -187,15 +211,21 @@ final class MergePhaseRDD(
   *      collected to the driver (step 2–3 of Fig. 5);
   *   3. `plan` over those statistics (steps 4–8), replayed on the driver to
   *      check that it leaves every share at its destination (Eq. 7);
-  *   4. one [[MergePhaseRDD]] per phase (step 9), each materialized and
-  *      cached so a share is computed exactly once;
+  *   4. one [[MergePhaseRDD]] per phase (step 9), chained and persisted,
+  *      and one job over the chain that materializes every phase on the
+  *      way to the last, computing each share exactly once;
   *   5. projection of the final tables to unsafe rows.
+  *
+  * So a query runs three jobs (statistics, merge, projection), or two when
+  * the plan has no phases.
   *
   * SQL metrics expose the phase count, the tuples moved between fragments
   * and those received by their destination fragment (Table 2), and the
   * wall-clock of steps 1–2 together (one job), of step 3's `plan` call and
-  * of step 4. The tuple counts are added on the driver, once per phase, so
-  * a phase partition that Spark recomputes does not count twice.
+  * of step 4. The tuple counts are the running totals each fragment carries
+  * through the phases ([[FragmentState]]), which the merge job returns and
+  * the driver adds once, so a phase partition that Spark recomputes does
+  * not count twice.
   */
 object PhasedAggregation {
 
@@ -210,7 +240,7 @@ object PhasedAggregation {
     "numOutputRows" -> SQLMetrics.createMetric(sc, "number of output rows"),
     "statisticsTime" -> SQLMetrics.createTimingMetric(sc, "GRASP local aggregation and statistics time"),
     "planningTime" -> SQLMetrics.createTimingMetric(sc, "GRASP planning time"),
-    "mergePhasesTime" -> SQLMetrics.createTimingMetric(sc, "GRASP merge phases time"),
+    "mergePhasesTime" -> SQLMetrics.createTimingMetric(sc, "GRASP merge job time (all phases)"),
   )
 
   private def toDouble(row: InternalRow, ord: Int, dt: DataType): Double =
@@ -258,7 +288,7 @@ object PhasedAggregation {
     def millisSince(start: Long): Long = NANOSECONDS.toMillis(System.nanoTime() - start)
 
     // --- 1. local partial aggregation per fragment (Fig. 5 step 2).
-    val local: RDD[Array[StateTable]] = rows.mapPartitions { it =>
+    val local: RDD[FragmentState] = rows.mapPartitions { it =>
       val shares = Array.fill(m)(new StateTable(ops, 0))
       val values = new Array[Double](nSpecs)
       it.foreach { row =>
@@ -269,7 +299,7 @@ object PhasedAggregation {
           shares(partitioner.partitionOf(key)).update(key, values)
         }
       }
-      Iterator.single(shares)
+      Iterator.single(new FragmentState(shares, 0L, 0L))
     }
     local.persist(StorageLevel.MEMORY_AND_DISK)
 
@@ -277,8 +307,8 @@ object PhasedAggregation {
     // collected in partition order.
     val hasher = Hasher
     val statsStart = System.nanoTime()
-    val statRows = local.map { shares =>
-      (shares.map(_.size.toLong), shares.map(t => hasher.signature(Iterator.tabulate(t.size)(t.key))))
+    val statRows = local.map { f =>
+      (f.shares.map(_.size.toLong), f.shares.map(t => hasher.signature(Iterator.tabulate(t.size)(t.key))))
     }.collect()
     metrics("statisticsTime").add(millisSince(statsStart))
     val card = statRows.map(_._1)
@@ -296,25 +326,20 @@ object PhasedAggregation {
       require(!replay.hasData(v, l),
         s"plan incomplete: fragment $v still holds partition $l, whose destination is ${mapping(l)}")
 
-    // --- 4. one narrow merge step per phase, each materialized once by a
-    // job that returns the size of every share after the phase. A transfer
-    // moves its sender's whole share, so the driver counts it from the sizes
-    // before the phase (the statistics' exact cardinalities for the first).
+    // --- 4. one narrow merge step per phase, all persisted and materialized
+    // by one job on the last phase, which returns every fragment's totals.
+    // Once it has run, only the last phase stays cached, for the projection.
     val phasesStart = System.nanoTime()
-    var state = local
-    var sizes = card
-    aggPlan.phases.foreach { phase =>
+    val chain = aggPlan.phases.scanLeft(local) { (prev, phase) =>
       val sends = phase.transfers.map(t => (t.src, t.partition) -> t.dst).toMap
-      phase.transfers.foreach { t =>
-        val tuples = sizes(t.src)(t.partition)
-        metrics("tuplesMoved").add(tuples)
-        if (mapping(t.partition) == t.dst) metrics("tuplesIntoDestinations").add(tuples)
-      }
-      val next = new MergePhaseRDD(state, sends, ops)
-      next.persist(StorageLevel.MEMORY_AND_DISK)
-      sizes = next.map(_.map(_.size.toLong)).collect()
-      state.unpersist(blocking = false)
-      state = next
+      new MergePhaseRDD(prev, sends, mapping, ops).persist(StorageLevel.MEMORY_AND_DISK)
+    }
+    val state = chain.last
+    if (chain.length > 1) {
+      val totals = state.map(f => (f.received, f.receivedIntoDestination)).collect()
+      metrics("tuplesMoved").add(totals.map(_._1).sum)
+      metrics("tuplesIntoDestinations").add(totals.map(_._2).sum)
+      chain.init.foreach(_.unpersist(blocking = false))
     }
     metrics("mergePhasesTime").add(millisSince(phasesStart))
 
@@ -324,7 +349,7 @@ object PhasedAggregation {
     state.mapPartitions { it =>
       val proj = UnsafeProjection.create(outTypes)
       val row = new GenericInternalRow(1 + nSpecs)
-      for (shares <- it; t <- shares.iterator; e <- Iterator.range(0, t.size)) yield {
+      for (f <- it; t <- f.shares.iterator; e <- Iterator.range(0, t.size)) yield {
         val k = t.key(e)
         if (keyIsLong) row.update(0, k) else row.update(0, k.toInt)
         var i = 0

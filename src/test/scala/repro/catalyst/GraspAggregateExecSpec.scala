@@ -1,5 +1,6 @@
 package repro.catalyst
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.concurrent.Eventually._
@@ -178,27 +179,78 @@ class GraspAggregateExecSpec extends SparkSpec {
     assert(exec.metrics("tuplesIntoDestinations").value == sim.tuplesIntoDestinations)
   }
 
-  test("a query runs one statistics job, one job per phase and one projection job") {
-    val input = byFragment(
-      intValued(SynthData.overlapFragments(spark, 4, 200, jaccard = 0.5, seed = 9)), 4).persist()
-    input.count()
+  /** The jobs `Grasp.aggregate(input, "key", SUM(v))` runs to collect, and
+    * its phase count. Job groups outlive the query, so each call uses its own.
+    */
+  private def jobsAndPhases(input: DataFrame): (Int, Long) = {
     val sc = spark.sparkContext
+    val id = java.util.UUID.randomUUID()
+    val (query, marker) = (s"grasp-query-$id", s"grasp-marker-$id")
     def inGroup[T](group: String)(body: => T): T = {
       sc.setJobGroup(group, group)
       try body finally sc.clearJobGroup()
     }
     val out = Grasp.aggregate(input, "key", Seq(AggSpec.sum("v", "s")))
-    inGroup("grasp-query")(out.collect())
+    inGroup(query)(out.collect())
     // Job events reach the status store in order: once the marker job is
     // listed, every job of the query is too.
-    inGroup("grasp-marker")(sc.parallelize(Seq(1)).count())
+    inGroup(marker)(sc.parallelize(Seq(1)).count())
     eventually(timeout(Span(30, Seconds))) {
-      assert(sc.statusTracker.getJobIdsForGroup("grasp-marker").nonEmpty)
+      assert(sc.statusTracker.getJobIdsForGroup(marker).nonEmpty)
     }
     val phases = findExec(out.queryExecution.executedPlan).get.metrics("numPhases").value
+    (sc.statusTracker.getJobIdsForGroup(query).length, phases)
+  }
+
+  test("a query runs one statistics job, one merge job and one projection job") {
+    val input = byFragment(
+      intValued(SynthData.overlapFragments(spark, 4, 200, jaccard = 0.5, seed = 9)), 4).persist()
+    input.count()
+    val (jobs, phases) = jobsAndPhases(input)
     assert(phases >= 1)
-    assert(sc.statusTracker.getJobIdsForGroup("grasp-query").length == phases + 2)
+    assert(jobs == 3, s"$jobs jobs for $phases phases")
     input.unpersist()
+  }
+
+  test("a plan with no phases runs no merge job") {
+    val input = byFragment(
+      intValued(SynthData.overlapFragments(spark, 1, 200, jaccard = 0.5, seed = 11)), 1).persist()
+    input.count()
+    val (jobs, phases) = jobsAndPhases(input)
+    assert(phases == 0)
+    assert(jobs == 2, s"$jobs jobs")
+    input.unpersist()
+  }
+
+  test("a query leaves only its last phase persisted") {
+    val input = byFragment(
+      intValued(SynthData.overlapFragments(spark, 5, 200, jaccard = 0.5, seed = 12)), 5).persist()
+    input.count()
+    val sc = spark.sparkContext
+    val persistedBefore = sc.getPersistentRDDs.keySet
+    val out = Grasp.aggregate(input, "key", Seq(AggSpec.sum("v", "s")))
+    out.collect()
+    val phases = findExec(out.queryExecution.executedPlan).get.metrics("numPhases").value
+    assert(phases >= 2, "want intermediate phases to release")
+    val left = sc.getPersistentRDDs.filter { case (id, _) => !persistedBefore(id) }.values.toSeq
+    assert(left.size == 1, s"persisted after the query: $left")
+    // The one left is the end of a chain of `phases` phase RDDs.
+    def phasesBelow(rdd: RDD[_]): Int = rdd match {
+      case p: MergePhaseRDD => 1 + phasesBelow(p.dependencies.head.rdd)
+      case _                => 0
+    }
+    assert(phasesBelow(left.head) == phases)
+    left.foreach(_.unpersist(blocking = true))
+    input.unpersist()
+  }
+
+  test("a deep plan over 64 fragments matches DuckDB") {
+    val n = 64
+    val df = intValued(SynthData.overlapFragments(spark, n, 200, jaccard = 0.5, seed = 13))
+    val specs = Seq(AggSpec.sum("v", "s"), AggSpec.count("c"))
+    val out = Grasp.aggregate(byFragment(df, n), "key", specs)
+    assertMatchesDuck(out, df, specs)
+    assert(findExec(out.queryExecution.executedPlan).get.metrics("numPhases").value > n)
   }
 
   test("operator composes with downstream operators (filter + order by)") {
