@@ -84,8 +84,8 @@ object PlannerState {
     new PlannerState(nFragments, numPartitions, card, sigs, hasher)
   }
 
-  /** Build from pre-computed statistics (e.g. collected via a Spark
-    * aggregation — step 2 of Fig. 5 run by all compute nodes).
+  /** Build from pre-computed statistics (e.g. the operator's, computed
+    * inside its Spark tasks — step 2 of Fig. 5 run by all compute nodes).
     */
   def fromStats(
       card: Array[Array[Long]],

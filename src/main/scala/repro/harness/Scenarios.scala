@@ -37,10 +37,8 @@ object Scenarios {
       compute: Option[ComputeModel] = None,
   ): Scenario = {
     require(partitioner.numPartitions == mapping.numPartitions, "partitioner/mapping mismatch")
-    val cached = df.persist()
-    val data = Fragments.collectClusterData(cached, topo.nFragments, partitioner, preAggregated = true)
-    val stats = Fragments.collectStats(cached, topo.nFragments, partitioner, hasher)
-    cached.unpersist()
+    val data = Fragments.collectClusterData(df, topo.nFragments, partitioner, preAggregated = true)
+    val stats = PlannerState.fromKeySets(data.keySets, hasher)
     Scenario(name, topo, mapping, data, stats, TupleBytes, compute)
   }
 

@@ -22,9 +22,10 @@ object PhasedTestKit {
       metrics: Map[String, SQLMetric],
   )
 
-  /** `df` with fragment `f` as partition `f` of `nFragments`, so that
-    * `Fragments.collectStats` and `collectClusterData` describe the
-    * fragments the executor merges.
+  /** `df` with fragment `f` as partition `f` of `nFragments`, so that the
+    * key sets `Fragments.collectClusterData` collects, and the statistics
+    * `collectStats` takes from them, describe the fragments the executor
+    * merges.
     */
   def byFragment(df: DataFrame, nFragments: Int): DataFrame = {
     val ord = df.schema.fieldIndex("fragment")

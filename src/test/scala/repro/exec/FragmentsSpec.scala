@@ -59,11 +59,17 @@ class FragmentsSpec extends SparkSpec {
   }
 
   test("collectStats signatures equal driver-side signatures of the exact key sets") {
-    val df = SynthData.overlapFragments(spark, 3, 200, jaccard = 0.5, seed = 3)
-    val data = Fragments.collectClusterData(df, 3, KeyPartitioner.Single, preAggregated = true)
-    val stats = Fragments.collectStats(df, 3, KeyPartitioner.Single, hasher)
-    for (v <- 0 until 3)
-      assert(stats.signature(v, 0).sameElements(hasher.signature(data(v, 0).keys)), s"frag $v")
+    val df = SynthData.overlapFragments(spark, 3, 200, jaccard = 0.5, dupFactor = 2, seed = 3)
+    val rows = df.select("fragment", "key").collect().map(r => (r.getInt(0), r.getLong(1)))
+    for (part <- Seq(KeyPartitioner.Single, KeyPartitioner.Hashed(4),
+                     KeyPartitioner.Weighted(Vector(3.0, 1.0, 1.0)))) {
+      val stats = Fragments.collectStats(df, 3, part, hasher)
+      for (v <- 0 until 3; l <- 0 until part.numPartitions) {
+        val keys = rows.collect { case (`v`, k) if part.partitionOf(k) == l => k }.distinct
+        assert(stats.cardinality(v, l) == keys.length.toLong, s"$part ($v,$l)")
+        assert(stats.signature(v, l).sameElements(hasher.signature(keys)), s"$part ($v,$l)")
+      }
+    }
   }
 
   test("GRASP plans from Spark-collected stats complete under the simulator") {
