@@ -1,0 +1,91 @@
+package repro.bench
+
+import java.io.{File, PrintWriter}
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core._
+import repro.harness.Scenarios
+
+/** Planning time of Algorithm 2 as the fragment count grows (Fig. 16's
+  * planning cost, with no Spark and no simulation in the timing).
+  *
+  * Each configuration plans uniform driver-side statistics: every fragment
+  * draws 20,000 rows from 20,000 keys, on `Topology.colocated(n / 14, 14)`,
+  * all-to-all (partitions hashed n ways) and all-to-one (one partition).
+  * One untimed plan warms the JIT; the median of three further plans is
+  * recorded. The results go to `BENCH_planner.json` at the repository root:
+  *
+  * {{{
+  *   sbt "bench/testOnly repro.bench.BenchPlanner"
+  * }}}
+  */
+class BenchPlanner extends AnyFunSuite {
+  import BenchPlanner._
+
+  private def measure(n: Int, allToAll: Boolean): Row = {
+    val raw = LocalGen.uniformDraws(n, RowsPerFrag, KeySpace)
+    val part = if (allToAll) KeyPartitioner.Hashed(n) else KeyPartitioner.Single
+    val mapping = if (allToAll) Mapping.allToAll(n) else Mapping.allToOne(0)
+    val (_, stats) = LocalGen.scenario(raw, part, preAggregated = true, new MinHasher())
+    val bandwidth = Topology.colocated(n / 14, 14).bandwidthMatrix
+    def plan(): AggPlan = new GraspPlanner(stats, bandwidth, mapping, Scenarios.TupleBytes).plan()
+    val first = plan()
+    val runs = Seq.fill(WarmRuns) {
+      val start = System.nanoTime()
+      val p = plan()
+      val seconds = (System.nanoTime() - start) / 1e9
+      assert(p == first, s"n=$n: plans differ between runs")
+      seconds
+    }
+    Row(if (allToAll) "all-to-all" else "all-to-one", n, runs, first)
+  }
+
+  /** The repository root: the forked test JVM may start in `bench/`. */
+  private def repoRoot: File = {
+    val cwd = new File(sys.props("user.dir")).getAbsoluteFile
+    if (new File(cwd, "ROADMAP.md").exists) cwd else cwd.getParentFile
+  }
+
+  private def json(rows: Seq[Row]): String = {
+    val entries = rows.map { r =>
+      s"""    {"mapping": "${r.mapping}", "n": ${r.n}, "plan_s_median": ${r.median}, """ +
+        s""""plan_s_runs": [${r.runs.mkString(", ")}], "phases": ${r.plan.numPhases}, """ +
+        s""""transfers": ${r.plan.numTransfers}}"""
+    }
+    s"""{
+       |  "suite": "repro.bench.BenchPlanner",
+       |  "command": "sbt \\"bench/testOnly repro.bench.BenchPlanner\\"",
+       |  "measures": "GraspPlanner.plan wall-clock, one thread, statistics prepared outside the timing",
+       |  "nproc": ${Runtime.getRuntime.availableProcessors},
+       |  "warm_runs": $WarmRuns,
+       |  "rows_per_fragment": $RowsPerFrag,
+       |  "key_space": $KeySpace,
+       |  "topology": "Topology.colocated(n / 14, 14)",
+       |  "tuple_bytes": ${Scenarios.TupleBytes},
+       |  "results": [
+       |${entries.mkString(",\n")}
+       |  ]
+       |}
+       |""".stripMargin
+  }
+
+  test("GRASP planning time for n in {28, 56, 112, 196}, both mappings") {
+    val rows = for (allToAll <- Seq(true, false); n <- Sizes) yield measure(n, allToAll)
+    rows.foreach(r => assert(r.plan.numTransfers > 0, s"${r.mapping} n=${r.n}: empty plan"))
+    val out = new File(repoRoot, "BENCH_planner.json")
+    val writer = new PrintWriter(out, "UTF-8")
+    try writer.write(json(rows)) finally writer.close()
+    println(s"wrote ${out.getName}")
+  }
+}
+
+object BenchPlanner {
+  private val Sizes = Seq(28, 56, 112, 196)
+  private val RowsPerFrag = 20000
+  private val KeySpace = 20000L
+  private val WarmRuns = 3
+
+  private final case class Row(mapping: String, n: Int, runs: Seq[Double], plan: AggPlan) {
+    def median: Double = runs.sorted.apply(runs.size / 2)
+  }
+}

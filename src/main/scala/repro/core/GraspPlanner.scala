@@ -21,8 +21,11 @@ import scala.collection.mutable.ArrayBuffer
   * therefore prices every candidate once, keeps the finite ones in one order
   * by (cost, l, s, t) — the rescan's argmin with its first-in-scan-order
   * tie-break — and builds a phase with one greedy walk over that order.
-  * After the phase only the rows and columns of the touched shares are
-  * repriced, sorted and merged back in.
+  * The order is built by a stable radix sort on the costs' raw bits, which
+  * it keeps beside the candidates. After the phase only the rows and
+  * columns of the touched shares are repriced and radix-sorted; one
+  * sequential pass then drops the stale entries and merges the fresh ones
+  * in, alternating between two buffers sized by the first order.
   *
   * The planner mutates only a private copy of the statistics; `cost` and
   * `costMatrix` report Eq. 8 on its current state (before `plan()`, the
@@ -86,15 +89,23 @@ final class GraspPlanner(
 
   /** Eq. 8 cost of candidate (s → t, l) at `index(s, t, l)`. */
   private val costs = new Array[Double](m * n * n)
-  /** The finite candidates, sorted by [[before]]. */
+  /** `order[0, orderLen)` holds the finite candidates in the strict total
+    * order of Algorithm 2's picks: cost, then index (the rescan's scan
+    * order). `orderKeys` holds their costs' raw bits alongside, so that
+    * [[reorder]] compares costs without reading `costs` at random. The
+    * next [[reorder]] writes into `spare` and `spareKeys`. Shares only
+    * ever empty, so the finite set only shrinks and all four keep the size
+    * of the first order; [[reorder]] grows them only for costs that
+    * overflowed to ∞.
+    */
   private var order = new Array[Int](0)
+  private var orderKeys = new Array[Long](0)
+  private var spare = new Array[Int](0)
+  private var spareKeys = new Array[Long](0)
+  private var orderLen = 0
 
   /** Row-major over (l, s, t), so index order is the rescan's loop order. */
   private def index(s: Int, t: Int, l: Int): Int = (l * n + s) * n + t
-
-  /** The strict total order of Algorithm 2's picks: cost, then scan order. */
-  private def before(a: Int, b: Int): Boolean =
-    costs(a) < costs(b) || (costs(a) == costs(b) && a < b)
 
   /** Reprices v → x and x → v in partition l; they share one signature
     * comparison.
@@ -105,40 +116,51 @@ final class GraspPlanner(
     costs(index(x, v, l)) = eq8(x, v, l, j)
   }
 
-  /** Merges the sorted runs `a[aFrom, aTo)` and `b[bFrom, bTo)` into `out`
-    * from `at`.
+  /** Sorts the ascending candidates `xs[0, len)` into the order's (cost,
+    * index) order: a stable LSD radix sort, one byte per pass, on the raw
+    * bits of their costs. Finite Eq. 8 costs are ≥ 0, so their raw bits
+    * order as their values, and stability keeps index order among equal
+    * costs. A byte on which all keys agree gets no pass. `tmp`, `keys` and
+    * `keysTmp` hold at least `len` elements. The sorted candidates end in
+    * the returned array, `xs` or `tmp`, and their keys in `keys` or
+    * `keysTmp` respectively.
     */
-  private def merge(
-      a: Array[Int], aFrom: Int, aTo: Int,
-      b: Array[Int], bFrom: Int, bTo: Int,
-      out: Array[Int], at: Int,
-  ): Unit = {
-    var i = aFrom; var j = bFrom; var k = at
-    while (i < aTo && j < bTo) {
-      if (before(b(j), a(i))) { out(k) = b(j); j += 1 }
-      else { out(k) = a(i); i += 1 }
-      k += 1
+  private def radixSort(
+      xs: Array[Int], len: Int, tmp: Array[Int], keys: Array[Long], keysTmp: Array[Long],
+  ): Array[Int] = {
+    val counts = new Array[Int](8 * 256)
+    var i = 0
+    while (i < len) {
+      val key = java.lang.Double.doubleToRawLongBits(costs(xs(i)))
+      keys(i) = key
+      var d = 0
+      while (d < 8) { counts(d * 256 + ((key >>> (8 * d)).toInt & 0xFF)) += 1; d += 1 }
+      i += 1
     }
-    System.arraycopy(a, i, out, k, aTo - i)
-    System.arraycopy(b, j, out, k + aTo - i, bTo - j)
-  }
-
-  /** Bottom-up merge sort of `xs[0, len)` by [[before]]; the result is in
-    * the returned array, `xs` or `tmp`.
-    */
-  private def sortByCost(xs: Array[Int], len: Int, tmp: Array[Int]): Array[Int] = {
     var src = xs; var dst = tmp
-    var width = 1
-    while (width < len) {
-      var lo = 0
-      while (lo < len) {
-        val mid = math.min(lo + width, len)
-        val hi = math.min(lo + 2 * width, len)
-        merge(src, lo, mid, src, mid, hi, dst, lo)
-        lo = hi
+    var srcKeys = keys; var dstKeys = keysTmp
+    var d = 0
+    while (d < 8 && len > 0) {
+      val shift = 8 * d
+      val base = d * 256
+      if (counts(base + ((srcKeys(0) >>> shift).toInt & 0xFF)) < len) {
+        var start = 0
+        var b = 0
+        while (b < 256) { val c = counts(base + b); counts(base + b) = start; start += c; b += 1 }
+        i = 0
+        while (i < len) {
+          val key = srcKeys(i)
+          val at = base + ((key >>> shift).toInt & 0xFF)
+          val k = counts(at)
+          counts(at) = k + 1
+          dst(k) = src(i)
+          dstKeys(k) = key
+          i += 1
+        }
+        val swap = src; src = dst; dst = swap
+        val swapKeys = srcKeys; srcKeys = dstKeys; dstKeys = swapKeys
       }
-      val swap = src; src = dst; dst = swap
-      width *= 2
+      d += 1
     }
     src
   }
@@ -147,8 +169,17 @@ final class GraspPlanner(
   private def initOrder(): Unit = {
     java.util.Arrays.fill(costs, Double.PositiveInfinity)
     for (l <- 0 until m; v <- 0 until n; x <- v + 1 until n) price(v, x, l)
-    val finite = Array.range(0, costs.length).filter(c => costs(c) < Double.PositiveInfinity)
-    order = sortByCost(finite, finite.length, new Array[Int](finite.length))
+    val nFinite = costs.count(_ < Double.PositiveInfinity)
+    val finite = new Array[Int](nFinite)
+    var k = 0
+    for (c <- costs.indices if costs(c) < Double.PositiveInfinity) { finite(k) = c; k += 1 }
+    val other = new Array[Int](nFinite)
+    val keys = new Array[Long](nFinite)
+    val otherKeys = new Array[Long](nFinite)
+    order = radixSort(finite, nFinite, other, keys, otherKeys)
+    if (order eq finite) { orderKeys = keys; spare = other; spareKeys = otherKeys }
+    else { orderKeys = otherKeys; spare = finite; spareKeys = keys }
+    orderLen = nFinite
   }
 
   /** Algorithm 2: select the transfers of one phase by a greedy walk over
@@ -165,7 +196,7 @@ final class GraspPlanner(
     var sendLeft = n
     var recvLeft = n
     var i = 0
-    while (i < order.length && sendLeft > 0 && recvLeft > 0) {
+    while (i < orderLen && sendLeft > 0 && recvLeft > 0) {
       val c = order(i)
       val ls = c / n
       val t = c - ls * n
@@ -185,12 +216,14 @@ final class GraspPlanner(
     Phase(picked.toVector)
   }
 
-  /** Reprices the rows and columns of the `touched` shares, drops them
-    * from the order and merges the finite ones back in. `dirty` and `tmp`
-    * hold every repriced candidate: each pair is repriced once, so at most
+  /** Reprices the rows and columns of the `touched` shares, then in one
+    * pass drops them from the order and merges the finite ones back in,
+    * writing into the spare buffers. `dirty` and the sort buffers hold
+    * every repriced candidate: each pair is repriced once, so at most
     * m·n², and 4·(n − 1) per pick with at most n picks per phase.
     */
-  private def reorder(phase: Phase, touched: Array[Boolean], dirty: Array[Int], tmp: Array[Int]): Unit = {
+  private def reorder(phase: Phase, touched: Array[Boolean], dirty: Array[Int], tmp: Array[Int],
+      keys: Array[Long], keysTmp: Array[Long]): Unit = {
     var nDirty = 0
     for (tr <- phase.transfers; v <- Seq(tr.src, tr.dst)) {
       val l = tr.partition
@@ -207,18 +240,35 @@ final class GraspPlanner(
         x += 1
       }
     }
-    var kept = 0
+    java.util.Arrays.sort(dirty, 0, nDirty)
+    val fresh = radixSort(dirty, nDirty, tmp, keys, keysTmp)
+    val freshKeys = if (fresh eq dirty) keys else keysTmp
+    // A cost that overflowed to ∞ can turn finite when a merged share's
+    // estimate shrinks; only then can the order outgrow its buffers.
+    if (orderLen + nDirty > spare.length) {
+      spare = new Array[Int](orderLen + nDirty)
+      spareKeys = new Array[Long](orderLen + nDirty)
+    }
+    var j = 0
+    var k = 0
     var i = 0
-    while (i < order.length) {
+    while (i < orderLen) {
       val c = order(i)
       val ls = c / n
-      if (!touched(ls) && !touched(ls - ls % n + c % n)) { order(kept) = c; kept += 1 }
+      if (!touched(ls) && !touched(ls - ls % n + c % n)) {
+        val key = orderKeys(i)
+        while (j < nDirty && (freshKeys(j) < key || (freshKeys(j) == key && fresh(j) < c))) {
+          spare(k) = fresh(j); spareKeys(k) = freshKeys(j); j += 1; k += 1
+        }
+        spare(k) = c; spareKeys(k) = key; k += 1
+      }
       i += 1
     }
-    val fresh = sortByCost(dirty, nDirty, tmp)
-    val merged = new Array[Int](kept + nDirty)
-    merge(order, 0, kept, fresh, 0, nDirty, merged, 0)
-    order = merged
+    System.arraycopy(fresh, j, spare, k, nDirty - j)
+    System.arraycopy(freshKeys, j, spareKeys, k, nDirty - j)
+    val swap = order; order = spare; spare = swap
+    val swapKeys = orderKeys; orderKeys = spareKeys; spareKeys = swapKeys
+    orderLen = k + nDirty - j
   }
 
   /** Build the full plan: phases until Eq. 2 / Eq. 7 completion. */
@@ -226,6 +276,8 @@ final class GraspPlanner(
     initOrder()
     val dirty = new Array[Int](math.min(m, 4) * n * n)
     val tmp = new Array[Int](dirty.length)
+    val keys = new Array[Long](dirty.length)
+    val keysTmp = new Array[Long](dirty.length)
     val touched = new Array[Boolean](m * n)
     val phases = Vector.newBuilder[Phase]
     var guard = 0
@@ -241,7 +293,7 @@ final class GraspPlanner(
       phases += phase
       guard += 1
       require(guard <= maxPhases, s"GRASP exceeded $maxPhases phases — planner bug")
-      reorder(phase, touched, dirty, tmp)
+      reorder(phase, touched, dirty, tmp, keys, keysTmp)
     }
     AggPlan(phases.result())
   }

@@ -80,23 +80,19 @@ final class MinHasher(val numHashes: Int = MinHasher.PaperHashes, seed: Long = 4
 
   /** Estimated Jaccard similarity: fraction of agreeing components (Fig. 6).
     * Two empty sets are defined to have similarity 0 so that
-    * ESTCARD(∅, ∅) = 0. One pass: both are empty iff every component agrees
-    * on "+infinity".
+    * ESTCARD(∅, ∅) = 0. The count loop has no other test in it, so it
+    * compiles branch-free; both signatures are empty only if every
+    * component agrees, so emptiness is checked only then.
     */
   def estimateJaccard(s1: Array[Long], s2: Array[Long]): Double = {
     require(s1.length == numHashes && s2.length == numHashes, "signature arity mismatch")
     var agree = 0
-    var agreeEmpty = 0
     var j = 0
     while (j < numHashes) {
-      val h = s1(j)
-      if (h == s2(j)) {
-        agree += 1
-        if (h == Long.MaxValue) agreeEmpty += 1
-      }
+      if (s1(j) == s2(j)) agree += 1
       j += 1
     }
-    if (agreeEmpty == numHashes) 0.0 else agree.toDouble / numHashes
+    if (agree == numHashes && isEmptySignature(s1)) 0.0 else agree.toDouble / numHashes
   }
 }
 

@@ -39,16 +39,6 @@ final class ClusterData(val shares: Array[Array[Share]]) {
   def totalRawTuples: Long = shares.iterator.flatten.map(_.rawCount).sum
 }
 
-object ClusterData {
-  /** Build from per-(fragment, partition) raw key arrays (with duplicates);
-    * `preAggregated = true` models the local pre-aggregation step.
-    */
-  def fromRawKeys(raw: Array[Array[Array[Long]]], preAggregated: Boolean): ClusterData =
-    new ClusterData(raw.map(_.map { ks =>
-      new Share(KeySet.fromUnsorted(ks), ks.length.toLong, preAggregated)
-    }))
-}
-
 /** Receiver-side compute throughputs (bytes/second), as measured in §5.3.5:
   * hash aggregation over raw input runs at 309 MB/s, over pre-aggregated
   * input at 811 MB/s. With a 1 Gbps network the aggregation is network

@@ -238,6 +238,20 @@ class GraspPlannerSpec extends AnyFunSuite with PropChecks {
     assertSamePlan(all, bw, Mapping.allToAll(8))
   }
 
+  test("oracle: same plans as the reference planner, 40 fragments all-to-all, bandwidths over 12 decades") {
+    // Random bandwidths spread over 12 orders of magnitude give costs that
+    // differ in their exponent bits as well as their mantissas, so the
+    // order's sort needs every byte of the key. Partition l + n/2 holds the
+    // same keys as l at every fragment, so equal costs recur across
+    // partitions and only scan order breaks the ties.
+    val n = 40
+    val rnd = new scala.util.Random(12)
+    val half = Array.fill(n, n / 2)(Array.fill(rnd.nextInt(12))(rnd.nextLong(40L)).distinct)
+    val stats = PlannerState.fromKeySets(half.map(row => row ++ row), new MinHasher(numHashes = 16, seed = 3))
+    val bw = Array.fill(n, n)(math.pow(10.0, 12 * rnd.nextDouble()))
+    assertSamePlan(stats, bw, Mapping.allToAll(n))
+  }
+
   test("property: random all-to-all instances terminate with a valid complete plan") {
     val gen = for {
       n <- Gen.chooseNum(2, 6)

@@ -80,6 +80,15 @@ object LocalGen {
       byPart.map(_.result())
     }
 
+  /** Cluster data from per-(fragment, partition) raw key arrays (with
+    * duplicates); `preAggregated = true` models the local pre-aggregation
+    * step.
+    */
+  def clusterData(raw: Array[Array[Array[Long]]], preAggregated: Boolean): ClusterData =
+    new ClusterData(raw.map(_.map { ks =>
+      new Share(KeySet.fromUnsorted(ks), ks.length.toLong, preAggregated)
+    }))
+
   /** Convenience: cluster data + planner statistics from raw keys. */
   def scenario(
       raw: Array[Array[Long]],
@@ -88,7 +97,7 @@ object LocalGen {
       hasher: MinHasher = new MinHasher(),
   ): (ClusterData, PlannerState) = {
     val grouped = group(raw, partitioner)
-    val data = ClusterData.fromRawKeys(grouped, preAggregated)
+    val data = clusterData(grouped, preAggregated)
     (data, PlannerState.fromKeySets(data.keySets, hasher))
   }
 }

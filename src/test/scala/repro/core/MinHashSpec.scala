@@ -100,6 +100,51 @@ class MinHashSpec extends AnyFunSuite with PropChecks {
     }
   }
 
+  /** The agreement count that tested every agreeing component for
+    * emptiness, as the oracle of the branch-free one.
+    */
+  private def perComponentEstimate(s1: Array[Long], s2: Array[Long]): Double = {
+    var agree = 0
+    var agreeEmpty = 0
+    var j = 0
+    while (j < s1.length) {
+      val h = s1(j)
+      if (h == s2(j)) {
+        agree += 1
+        if (h == Long.MaxValue) agreeEmpty += 1
+      }
+      j += 1
+    }
+    if (agreeEmpty == s1.length) 0.0 else agree.toDouble / s1.length
+  }
+
+  test("property: estimateJaccard equals the per-component emptiness count") {
+    val small = new MinHasher(numHashes = 8, seed = 1)
+    // Few distinct values, a quarter of them "+infinity", so that partial
+    // and full agreement, on values and on empty components, are common.
+    val component = Gen.frequency(3 -> Gen.chooseNum(0L, 3L), 1 -> Gen.const(Long.MaxValue))
+    val sig = Gen.listOfN(small.numHashes, component).map(_.toArray)
+    val empty = Gen.delay(Gen.const(small.emptySignature))
+    val pair = Gen.oneOf(
+      Gen.zip(sig, sig),
+      sig.map(s => (s, s.clone())),
+      Gen.zip(empty, empty),
+      Gen.zip(sig, empty),
+      Gen.zip(empty, sig),
+    )
+    forAllSampled(Gen.listOfN(20, pair)) { pairs =>
+      pairs.foreach { case (a, b) =>
+        assert(small.estimateJaccard(a, b) == perComponentEstimate(a, b),
+          s"${a.mkString(",")} vs ${b.mkString(",")}")
+      }
+    }
+    val full = Gen.listOf(Gen.chooseNum(0L, 200L)).map(hasher.signature(_))
+    forAllSampled(full, full) { (a, b) =>
+      assert(hasher.estimateJaccard(a, b) == perComponentEstimate(a, b))
+      assert(hasher.estimateJaccard(a, a.clone()) == perComponentEstimate(a, a))
+    }
+  }
+
   test("property: union signature is commutative and associative") {
     val gen = Gen.nonEmptyListOf(Gen.chooseNum(0L, 5000L))
     forAllSampled(gen, gen, gen) { (xs, ys, zs) =>

@@ -30,7 +30,7 @@ class PaperExampleSpec extends AnyFunSuite {
   private val sim = new Simulator(topo, tupleBytes = 1.0)
 
   private def data: ClusterData =
-    ClusterData.fromRawKeys(rawKeys.map(Array(_)), preAggregated = true)
+    LocalGen.clusterData(rawKeys.map(Array(_)), preAggregated = true)
 
   private def stats: PlannerState =
     PlannerState.fromKeySets(data.keySets, new MinHasher(numHashes = 100, seed = 42))

@@ -47,8 +47,8 @@ class RepartPlannerSpec extends AnyFunSuite {
   test("Repart vs Preagg+Repart differ exactly by in-fragment duplicates") {
     val raw = LocalGen.overlapFragments(3, 20, jaccard = 0.0, dupFactor = 4)
     val grouped = LocalGen.group(raw, KeyPartitioner.Single)
-    val noPre = ClusterData.fromRawKeys(grouped, preAggregated = false)
-    val pre = ClusterData.fromRawKeys(grouped, preAggregated = true)
+    val noPre = LocalGen.clusterData(grouped, preAggregated = false)
+    val pre = LocalGen.clusterData(grouped, preAggregated = true)
     val (_, stats) = LocalGen.scenario(raw, KeyPartitioner.Single, preAggregated = true, hasher)
     val topo = Topology.uniform(3)
     val mapping = Mapping.allToOne(0)

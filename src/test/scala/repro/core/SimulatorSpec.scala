@@ -96,8 +96,8 @@ class SimulatorSpec extends AnyFunSuite {
   test("non-preaggregated shares ship raw tuple counts (Repart)") {
     val raw = Array(Array.emptyLongArray, Array(1L, 1L, 1L, 2L)) // 4 raw, 2 distinct
     val grouped = LocalGen.group(raw, KeyPartitioner.Single)
-    val noPre = ClusterData.fromRawKeys(grouped, preAggregated = false)
-    val pre = ClusterData.fromRawKeys(grouped, preAggregated = true)
+    val noPre = LocalGen.clusterData(grouped, preAggregated = false)
+    val pre = LocalGen.clusterData(grouped, preAggregated = true)
     val topo = Topology.uniform(2, bw = 1.0)
     val plan = AggPlan(Vector(Phase(Vector(Transfer(1, 0, 0)))))
     val sim = new Simulator(topo, W)
@@ -108,7 +108,7 @@ class SimulatorSpec extends AnyFunSuite {
   test("a merged share is aggregated even without local pre-aggregation") {
     val raw = Array(Array.emptyLongArray, Array(1L, 1L, 2L), Array(1L, 2L, 2L))
     val grouped = LocalGen.group(raw, KeyPartitioner.Single)
-    val d = ClusterData.fromRawKeys(grouped, preAggregated = false)
+    val d = LocalGen.clusterData(grouped, preAggregated = false)
     val topo = Topology.uniform(3, bw = 1.0)
     val plan = AggPlan(Vector(
       Phase(Vector(Transfer(2, 1, 0))), // ships 3 raw tuples
@@ -171,7 +171,7 @@ class SimulatorSpec extends AnyFunSuite {
   test("compute model: raw arrivals aggregate at the slower raw throughput") {
     val raw = Array(Array.emptyLongArray, Array(1L, 2L, 3L, 3L))
     val grouped = LocalGen.group(raw, KeyPartitioner.Single)
-    val d = ClusterData.fromRawKeys(grouped, preAggregated = false)
+    val d = LocalGen.clusterData(grouped, preAggregated = false)
     val topo = Topology.uniform(2, bw = 1e9)
     val cm = ComputeModel(aggRawBw = 2.0, aggPreBw = 1000.0)
     val plan = AggPlan(Vector(Phase(Vector(Transfer(1, 0, 0)))))
