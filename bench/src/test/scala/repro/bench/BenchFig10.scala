@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.{Experiments, Report, TableFormat}
+import repro.harness.{Experiments, Report}
 
 /** Fig. 10: speedup over Preagg+Repart as the Jaccard similarity between
   * fragments grows (all-to-one, 8 fragments, uniform 1 Gbps).
@@ -15,8 +15,10 @@ class BenchFig10 extends SparkSpec {
 
   test("Fig. 10: GRASP speedup grows with cross-fragment similarity") {
     val results = Experiments.fig10(spark)
-    val (t, h, rows) = Report.fig10(results)
-    TableFormat.emit(t, h, rows)
+    Exhibits.emit(suiteName, Report.speedups(
+      "Fig. 10: speedup vs Jaccard similarity (all-to-one, 8 fragments)",
+      results.map { case (j, r) => s"J=$j" -> r },
+      Seq(Seq("paper @J=1", "~1.0", "1.0", "~1.9", "4.1 (2.2x over LOOM)"))))
 
     val graspSpeedups = results.map { case (_, r) => r.speedupOverPreagg(r.grasp) }
     assert(graspSpeedups.last >= 2.0, s"GRASP at J=1: ${graspSpeedups.last}")

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.{Experiments, Report, TableFormat}
+import repro.harness.{Experiments, Report}
 
 /** Fig. 11: effect of duplicates per key within a fragment (all-to-one,
   * 8 fragments, J=0.5 between adjacent fragments).
@@ -15,8 +15,10 @@ class BenchFig11 extends SparkSpec {
 
   test("Fig. 11: local aggregation pays off with duplicates; GRASP still wins") {
     val results = Experiments.fig11(spark)
-    val (t, h, rows) = Report.fig11(results)
-    TableFormat.emit(t, h, rows)
+    Exhibits.emit(suiteName, Report.speedups(
+      "Fig. 11: speedup vs duplicates per key (all-to-one, 8 fragments, J=0.5)",
+      results.map { case (dup, r) => s"tuples/key=$dup" -> r },
+      Seq(Seq("paper (all dup)", "<1", "1.0", "~1.5", ">3 (~2x over LOOM)"))))
 
     val repartSpeedups = results.map { case (_, r) => r.speedupOverPreagg(r.repart) }
     repartSpeedups.sliding(2).foreach { case Seq(a, b) =>

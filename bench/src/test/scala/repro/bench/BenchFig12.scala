@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.{Experiments, Report, TableFormat}
+import repro.harness.{Experiments, Report}
 
 /** Fig. 12: all-to-all aggregation under workload imbalance (the
   * repartition function assigns l times more keys to fragment 0).
@@ -17,8 +17,10 @@ class BenchFig12 extends SparkSpec {
 
   test("Fig. 12: GRASP's relative performance is non-decreasing in imbalance") {
     val results = Experiments.fig12(spark)
-    val (t, h, rows) = Report.fig12(results)
-    TableFormat.emit(t, h, rows)
+    Exhibits.emit(suiteName, Report.speedups(
+      "Fig. 12: speedup vs workload imbalance (all-to-all, 8 fragments)",
+      results.map { case (l, r) => s"imbalance l=$l" -> r },
+      Seq(Seq("paper @l~3", "~1", "1.0", "n/a", "~2 (up to 3)"))))
 
     val graspSpeedups = results.map { case (_, r) => r.speedupOverPreagg(r.grasp) }
     assert(graspSpeedups.last >= graspSpeedups.head - 0.05,

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.{Experiments, Report, TableFormat}
+import repro.harness.{Experiments, Report}
 
 /** Fig. 13/14: bandwidth-estimation robustness. The planner is handed a
   * bandwidth matrix underestimated by 20%/50% (co-location, NIC
@@ -17,8 +17,7 @@ class BenchFig13_14 extends SparkSpec {
 
   test("Fig. 14: GRASP is robust to bandwidth underestimation") {
     val (base, cases) = Experiments.fig14(spark)
-    val (t, h, rows) = Report.fig14(base, cases)
-    TableFormat.emit(t, h, rows)
+    Exhibits.emit(suiteName, Report.fig14(base, cases))
 
     cases.foreach { case (label, factor, r) =>
       val delta = math.abs(r.seconds - base.seconds) / base.seconds

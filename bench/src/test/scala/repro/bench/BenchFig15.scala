@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.{Experiments, Report, TableFormat}
+import repro.harness.{Experiments, Report}
 
 /** Fig. 15: nonuniform bandwidth — 4 machines x 14 fragments sharing each
   * machine's NIC, fast intra-machine paths, every fragment drawing from the
@@ -18,8 +18,12 @@ class BenchFig15 extends SparkSpec {
 
   test("Fig. 15: GRASP exploits fast intra-machine links") {
     val (one, all) = Experiments.fig15(spark)
-    val (t, h, rows) = Report.fig15(one, all)
-    TableFormat.emit(t, h, rows)
+    Exhibits.emit(suiteName, Report.speedups(
+      "Fig. 15: nonuniform bandwidth (4 machines x 14 fragments)",
+      Seq("all-to-one" -> one, "all-to-all" -> all),
+      Seq(
+        Seq("paper all-to-one", "-", "1.0", "~2.9", "16 (5.6x over LOOM)"),
+        Seq("paper all-to-all", "-", "1.0", "n/a", "4.6"))))
 
     assert(one.speedupOverPreagg(one.grasp) >= 3.0,
       s"all-to-one GRASP: ${one.speedupOverPreagg(one.grasp)}")

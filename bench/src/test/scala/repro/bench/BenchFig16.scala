@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.{Experiments, Report, TableFormat}
+import repro.harness.{Experiments, Report}
 
 /** Fig. 16: scale-out from 28 to 112 fragments (14 per machine).
   *
@@ -17,8 +17,7 @@ class BenchFig16 extends SparkSpec {
 
   test("Fig. 16: all-to-one speedup grows with fragments; planning cost grows all-to-all") {
     val results = Experiments.fig16(spark)
-    val (t, h, rows) = Report.fig16(results)
-    TableFormat.emit(t, h, rows)
+    Exhibits.emit(suiteName, Report.fig16(results), wallClock = Set("GRASP plan time"))
 
     val oneSpeedups = results.map { case (_, one, _) => one.speedupOverPreagg(one.grasp) }
     oneSpeedups.sliding(2).foreach { case Seq(a, b) =>

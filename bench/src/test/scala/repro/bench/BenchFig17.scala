@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.{Experiments, Report, TableFormat}
+import repro.harness.{Experiments, Report}
 
 /** Fig. 17: TPC-H Q18 subquery and the MODIS/Amazon/Yelp-like workloads,
   * all-to-one on 8 machines x 14 fragments.
@@ -14,8 +14,9 @@ class BenchFig17 extends SparkSpec {
 
   test("Fig. 17: GRASP is fastest on all four workloads") {
     val results = Experiments.fig17(spark)
-    val (t, h, rows) = Report.fig17(results)
-    TableFormat.emit(t, h, rows)
+    Exhibits.emit(suiteName, Report.speedups(
+      "Fig. 17: real datasets + TPC-H (all-to-one, 8x14 fragments)", results,
+      Seq(Seq("paper MODIS", "~0.9", "1.0", "~1.75", "3.5 (2x over LOOM)"))))
 
     results.foreach { case (w, r) =>
       val grasp = r.speedupOverPreagg(r.grasp)

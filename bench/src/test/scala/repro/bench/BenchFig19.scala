@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.{Experiments, Report, TableFormat}
+import repro.harness.{Experiments, Report}
 
 /** Fig. 19: accuracy of the minhash estimate of the intersection size
   * between fragments (n = 100 hash functions), on overlapping MODIS
@@ -15,8 +15,7 @@ class BenchFig19 extends SparkSpec {
 
   test("Fig. 19: minhash intersection estimates are accurate") {
     val quantiles = Experiments.fig19(spark)
-    val (t, h, rows) = Report.fig19(quantiles)
-    TableFormat.emit(t, h, rows)
+    Exhibits.emit(suiteName, Report.fig19(quantiles))
 
     val p90 = quantiles.collectFirst { case (90, e) => e }.get
     assert(p90 <= 0.20, s"p90 error ${p90 * 100}%")

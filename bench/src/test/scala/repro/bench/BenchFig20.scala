@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.{Experiments, Report, TableFormat}
+import repro.harness.{Experiments, Report}
 
 /** Fig. 20: the EC2 deployment — 8 instances x 6 fragments on a 10 Gbps
   * network where the aggregation is compute bound (raw aggregation
@@ -16,8 +16,9 @@ class BenchFig20 extends SparkSpec {
 
   test("Fig. 20: compute-bound regime — pre-aggregation pays off, GRASP still wins") {
     val r = Experiments.fig20(spark)
-    val (t, h, rows) = Report.fig20(r)
-    TableFormat.emit(t, h, rows)
+    Exhibits.emit(suiteName, Report.speedups(
+      "Fig. 20: EC2 compute-bound regime (8 instances x 6 fragments)", Seq("EC2 10Gbps" -> r),
+      Seq(Seq("paper", "~0.55", "1.0", "~1.45", "2.2 (1.5x over LOOM)"))))
 
     assert(r.speedupOverPreagg(r.repart) < 0.8,
       s"Repart should lose when compute binds: ${r.speedupOverPreagg(r.repart)}")

@@ -40,12 +40,6 @@ class BenchPlanner extends AnyFunSuite {
     Row(if (allToAll) "all-to-all" else "all-to-one", n, runs, first)
   }
 
-  /** The repository root: the forked test JVM may start in `bench/`. */
-  private def repoRoot: File = {
-    val cwd = new File(sys.props("user.dir")).getAbsoluteFile
-    if (new File(cwd, "ROADMAP.md").exists) cwd else cwd.getParentFile
-  }
-
   private def json(rows: Seq[Row]): String = {
     val entries = rows.map { r =>
       s"""    {"mapping": "${r.mapping}", "n": ${r.n}, "plan_s_median": ${r.median}, """ +
@@ -72,7 +66,7 @@ class BenchPlanner extends AnyFunSuite {
   test("GRASP planning time for n in {28, 56, 112, 196}, both mappings") {
     val rows = for (allToAll <- Seq(true, false); n <- Sizes) yield measure(n, allToAll)
     rows.foreach(r => assert(r.plan.numTransfers > 0, s"${r.mapping} n=${r.n}: empty plan"))
-    val out = new File(repoRoot, "BENCH_planner.json")
+    val out = new File(Exhibits.repoRoot, "BENCH_planner.json")
     val writer = new PrintWriter(out, "UTF-8")
     try writer.write(json(rows)) finally writer.close()
     println(s"wrote ${out.getName}")

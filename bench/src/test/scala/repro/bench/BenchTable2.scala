@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.harness.{Experiments, Report, TableFormat}
+import repro.harness.{Experiments, Report}
 
 /** Table 2: tuples received by the final destination fragment (MODIS,
   * all-to-one, 8 machines x 14 fragments).
@@ -15,8 +15,7 @@ class BenchTable2 extends SparkSpec {
 
   test("Table 2: destination receives fewest tuples under GRASP") {
     val r = Experiments.table2(spark)
-    val (t, h, rows) = Report.table2(r)
-    TableFormat.emit(t, h, rows)
+    Exhibits.emit(suiteName, Report.table2(r))
 
     val repart = r.repart.tuplesIntoDest.toDouble
     val preagg = r.preaggRepart.tuplesIntoDest.toDouble

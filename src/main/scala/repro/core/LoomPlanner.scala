@@ -18,7 +18,6 @@ final class LoomPlanner(
     leafCard: Double,
     rootCard: Double,
     tupleBytes: Double,
-    maxFanIn: Int = 64,
 ) {
   require(leafCard > 0 && rootCard > 0, "cardinalities must be positive")
   private val n = topo.nFragments
@@ -78,22 +77,9 @@ final class LoomPlanner(
     val subtree = Array.fill(n)(1L)
     val depth = depthsOf(parent)
     for (i <- (0 until n).sortBy(depth).reverse if i != dest) subtree(parent(i)) += subtree(i)
-    val maxDepth = depth.max
-    (1 to maxDepth).iterator.map { d =>
-      val up = new Array[Double](topo.nMachines)
-      val down = new Array[Double](topo.nMachines)
-      var intraMax = 0.0
-      for (i <- 0 until n if i != dest && depth(i) == d) {
-        val bytes = coverage(subtree(i)) * tupleBytes
-        val dst = parent(i)
-        if (topo.sameMachine(i, dst)) intraMax = math.max(intraMax, bytes / topo.intraBw)
-        else {
-          up(topo.machineOf(i)) += bytes
-          down(topo.machineOf(dst)) += bytes
-        }
-      }
-      math.max(intraMax,
-        math.max(up.max / topo.nicUpBw, down.max / topo.nicDownBw))
+    (1 to depth.max).iterator.map { d =>
+      topo.phaseNetworkSeconds((0 until n).filter(i => i != dest && depth(i) == d)
+        .map(i => (i, parent(i), coverage(subtree(i)) * tupleBytes)))
     }.sum
   }
 
@@ -102,7 +88,7 @@ final class LoomPlanner(
     * is always a candidate: with no data reduction a tree cannot beat it.
     */
   def chooseFanIn(): Int = {
-    val candidates = ((2 to math.min(n - 1, maxFanIn)) :+ (n - 1)).distinct
+    val candidates = ((2 to math.min(n - 1, LoomPlanner.MaxFanIn)) :+ (n - 1)).distinct
     if (candidates.isEmpty) 1 else candidates.minBy(modeledCost)
   }
 
@@ -125,6 +111,9 @@ final class LoomPlanner(
 }
 
 object LoomPlanner {
+  /** Largest fan-in tried below direct send. */
+  private val MaxFanIn = 64
+
   /** LOOM plan with the accurate result cardinality (the paper's best-case
     * configuration) and the mean fragment cardinality as `|R_leaf|`.
     */

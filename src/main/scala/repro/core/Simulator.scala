@@ -118,26 +118,9 @@ final class Simulator(
       }
 
       // --- network: fluid makespan over NIC and intra-machine resources.
-      val upBytes = new Array[Double](topo.nMachines)
-      val downBytes = new Array[Double](topo.nMachines)
-      var intraMax = 0.0
-      val moved = phase.transfers.map { tr =>
-        val tuples = state(tr.src, tr.partition).tuples
-        val bytes = tuples * tupleBytes
-        if (topo.sameMachine(tr.src, tr.dst)) intraMax = math.max(intraMax, bytes / topo.intraBw)
-        else {
-          upBytes(topo.machineOf(tr.src)) += bytes
-          downBytes(topo.machineOf(tr.dst)) += bytes
-        }
-        tr -> tuples
-      }
-      val netSeconds = math.max(
-        intraMax,
-        math.max(
-          upBytes.foldLeft(0.0)(math.max) / topo.nicUpBw,
-          downBytes.foldLeft(0.0)(math.max) / topo.nicDownBw,
-        ),
-      )
+      val moved = phase.transfers.map(tr => tr -> state(tr.src, tr.partition).tuples)
+      val netSeconds = topo.phaseNetworkSeconds(
+        moved.map { case (tr, tuples) => (tr.src, tr.dst, tuples * tupleBytes) })
 
       // --- compute: receivers fold arrivals into their hash tables.
       val computeSeconds = compute match {

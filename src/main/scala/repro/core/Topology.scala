@@ -36,6 +36,28 @@ final case class Topology(
     */
   def bandwidthMatrix: Array[Array[Double]] =
     Array.tabulate(nFragments, nFragments)((s, t) => if (s == t) intraBw else pairBandwidth(s, t))
+
+  /** Network seconds of one phase of concurrent `(src, dst, bytes)`
+    * transfers under the §4.1 link-sharing assumption (Eq. 9): each
+    * machine's NIC uplink and downlink carry the summed bytes of the
+    * inter-machine transfers crossing them, an intra-machine transfer runs
+    * on the local path, and the phase lasts as long as its busiest resource.
+    * Bytes are summed in the order given.
+    */
+  def phaseNetworkSeconds(transfers: Iterable[(Int, Int, Double)]): Double = {
+    val up = new Array[Double](nMachines)
+    val down = new Array[Double](nMachines)
+    var intraMax = 0.0
+    transfers.foreach { case (src, dst, bytes) =>
+      if (sameMachine(src, dst)) intraMax = math.max(intraMax, bytes / intraBw)
+      else {
+        up(machineOf(src)) += bytes
+        down(machineOf(dst)) += bytes
+      }
+    }
+    math.max(intraMax,
+      math.max(up.foldLeft(0.0)(math.max) / nicUpBw, down.foldLeft(0.0)(math.max) / nicDownBw))
+  }
 }
 
 object Topology {

@@ -25,51 +25,40 @@ object Algorithms {
     def toSeq: Seq[RunResult] = Seq(Some(repart), Some(preaggRepart), loom, Some(grasp)).flatten
   }
 
-  private def timed[A](body: => A): (A, Long) = {
+  /** Times `planner`, then simulates its plan over `data`. */
+  private def run(algo: String, sc: Scenario, data: ClusterData)(planner: => AggPlan): RunResult = {
     val t0 = System.nanoTime()
-    val a = body
-    (a, (System.nanoTime() - t0) / 1000000L)
+    val plan = planner
+    val ms = (System.nanoTime() - t0) / 1000000L
+    val r = sc.simulator.run(plan, data, sc.mapping)
+    RunResult(algo, r.totalSeconds, r.tuplesIntoDestinations, plan.numPhases, ms)
   }
 
   /** Repart: raw tuples straight to the destination, no local aggregation. */
   def repart(sc: Scenario): RunResult = {
     val raw = sc.data.asPreAggregated(false)
-    val (plan, ms) = timed(
-      RepartPlanner.plan((v, l) => raw(v, l).rawCount, sc.nFragments, sc.mapping))
-    val r = sc.simulator.run(plan, raw, sc.mapping)
-    RunResult("Repart", r.totalSeconds, r.tuplesIntoDestinations, plan.numPhases, ms)
+    run("Repart", sc, raw)(RepartPlanner.plan((v, l) => raw(v, l).rawCount, sc.nFragments, sc.mapping))
   }
 
   /** Preagg+Repart: local aggregation, then one bulk repartition phase. */
-  def preaggRepart(sc: Scenario): RunResult = {
-    val (plan, ms) = timed(RepartPlanner.plan(sc.stats, sc.mapping))
-    val r = sc.simulator.run(plan, sc.data, sc.mapping)
-    RunResult("Preagg+Repart", r.totalSeconds, r.tuplesIntoDestinations, plan.numPhases, ms)
-  }
+  def preaggRepart(sc: Scenario): RunResult =
+    run("Preagg+Repart", sc, sc.data)(RepartPlanner.plan(sc.stats, sc.mapping))
 
   /** LOOM with the accurate final result cardinality (its best case), for
     * all-to-one scenarios only.
     */
-  def loom(sc: Scenario): Option[RunResult] = {
-    if (sc.mapping.numPartitions != 1) None
-    else {
+  def loom(sc: Scenario): Option[RunResult] =
+    Option.when(sc.mapping.numPartitions == 1) {
       val rootCard = sc.data.globalCardinality(0)
-      val (plan, ms) = timed(
-        LoomPlanner.plan(sc.stats, sc.topo, sc.mapping(0), rootCard, sc.tupleBytes))
-      val r = sc.simulator.run(plan, sc.data, sc.mapping)
-      Some(RunResult("LOOM", r.totalSeconds, r.tuplesIntoDestinations, plan.numPhases, ms))
+      run("LOOM", sc, sc.data)(LoomPlanner.plan(sc.stats, sc.topo, sc.mapping(0), rootCard, sc.tupleBytes))
     }
-  }
 
   /** GRASP, optionally with a perturbed bandwidth matrix handed to the
     * planner (§5.3.1) while the simulator charges the true topology.
     */
   def grasp(sc: Scenario, plannerBandwidth: Option[Array[Array[Double]]] = None): RunResult = {
     val bw = plannerBandwidth.getOrElse(sc.topo.bandwidthMatrix)
-    val (plan, ms) = timed(
-      new GraspPlanner(sc.stats, bw, sc.mapping, sc.tupleBytes).plan())
-    val r = sc.simulator.run(plan, sc.data, sc.mapping)
-    RunResult("GRASP", r.totalSeconds, r.tuplesIntoDestinations, plan.numPhases, ms)
+    run("GRASP", sc, sc.data)(new GraspPlanner(sc.stats, bw, sc.mapping, sc.tupleBytes).plan())
   }
 
   def runAll(sc: Scenario): AllResults =

@@ -1,6 +1,6 @@
 package repro.harness
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.SynthData
 import repro.core._
@@ -24,21 +24,21 @@ object Experiments {
 
   // ----- shared MODIS-like configuration (Table 2, Fig. 14, 17, 19, 20) ----
 
-  /** MODIS-like scenario: `machines * perMachine` fragments, ~4.6 raw tuples
-    * per distinct key globally (3 B tuples / 648 M keys in the paper),
-    * spatial overlap between files → high inter-fragment similarity.
+  /** MODIS-like scenario: `machines * perMachine` fragments of 3 files of
+    * 6,000 cells each, ~4.6 raw tuples per distinct key globally (3 B tuples
+    * / 648 M keys in the paper), spatial overlap between files → high
+    * inter-fragment similarity.
     */
   def modisScenario(
       spark: SparkSession,
       machines: Int = 8,
       perMachine: Int = PerMachine,
-      cellsPerFile: Int = 6000,
-      filesPerFragment: Int = 3,
       nicBw: Double = Topology.OneGbps,
       compute: Option[ComputeModel] = None,
   ): Scenario = {
+    val cellsPerFile = 6000
     val nFrags = machines * perMachine
-    val nFiles = nFrags * filesPerFragment
+    val nFiles = nFrags * 3
     val grid = math.max(1L, (nFiles.toLong * cellsPerFile / 4.6).toLong)
     val df = SynthData.modisLike(spark, nFrags, nFiles, cellsPerFile, grid)
     Scenarios.fromDataFrame(
@@ -47,35 +47,40 @@ object Experiments {
       Mapping.allToOne(0), KeyPartitioner.Single, compute = compute)
   }
 
+  /** All four algorithms on `df`'s fragments aggregated all-to-one. */
+  private def allToOne(df: DataFrame, topo: Topology): AllResults =
+    Algorithms.runAll(Scenarios.fromDataFrame(
+      "all-to-one", df, topo, Mapping.allToOne(0), KeyPartitioner.Single))
+
   // ------------------------------ Fig. 10 ---------------------------------
 
-  /** Similarity sweep: 8 uniform fragments, 1 tuple/key, J ∈ [0, 1]. */
-  def fig10(spark: SparkSession, rowsPerFrag: Int = 100000): Seq[(Double, AllResults)] =
+  /** Similarity sweep: 8 uniform fragments of 100,000 rows, 1 tuple/key,
+    * J ∈ [0, 1].
+    */
+  def fig10(spark: SparkSession): Seq[(Double, AllResults)] =
     Seq(0.0, 0.25, 0.5, 0.75, 1.0).map { j =>
-      val df = SynthData.overlapFragments(spark, 8, rowsPerFrag, j)
-      val sc = Scenarios.fromDataFrame(
-        s"fig10-J$j", df, Topology.uniform(8), Mapping.allToOne(0), KeyPartitioner.Single)
-      j -> Algorithms.runAll(sc)
+      j -> allToOne(SynthData.overlapFragments(spark, 8, 100000, j), Topology.uniform(8))
     }
 
   // ------------------------------ Fig. 11 ---------------------------------
 
-  /** Duplicates-per-key sweep: local aggregation effectiveness. */
-  def fig11(spark: SparkSession, rowsPerFrag: Int = 96000): Seq[(Int, AllResults)] =
+  /** Duplicates-per-key sweep over 8 uniform fragments of 96,000 rows:
+    * local aggregation effectiveness.
+    */
+  def fig11(spark: SparkSession): Seq[(Int, AllResults)] =
     Seq(1, 2, 4, 8).map { dup =>
-      val df = SynthData.overlapFragments(spark, 8, rowsPerFrag, jaccard = 0.5, dupFactor = dup)
-      val sc = Scenarios.fromDataFrame(
-        s"fig11-dup$dup", df, Topology.uniform(8), Mapping.allToOne(0), KeyPartitioner.Single)
-      dup -> Algorithms.runAll(sc)
+      dup -> allToOne(
+        SynthData.overlapFragments(spark, 8, 96000, jaccard = 0.5, dupFactor = dup), Topology.uniform(8))
     }
 
   // ------------------------------ Fig. 12 ---------------------------------
 
-  /** All-to-all workload imbalance: the repartition function assigns
-    * `level` times more keys to fragment 0's partition.
+  /** All-to-all workload imbalance over 8 fragments of 100,000 rows: the
+    * repartition function assigns `level` times more keys to fragment 0's
+    * partition.
     */
-  def fig12(spark: SparkSession, rowsPerFrag: Int = 100000): Seq[(Double, AllResults)] = {
-    val df = SynthData.uniformFragments(spark, 8, rowsPerFrag, keySpace = rowsPerFrag * 4L)
+  def fig12(spark: SparkSession): Seq[(Double, AllResults)] = {
+    val df = SynthData.uniformFragments(spark, 8, 100000, keySpace = 400000L)
     df.persist()
     val out = Seq(1.0, 2.0, 3.0, 4.0, 6.0, 8.0).map { level =>
       val part = KeyPartitioner.Weighted(level +: Vector.fill(7)(1.0))
@@ -112,44 +117,42 @@ object Experiments {
     (base, cases)
   }
 
-  // ------------------------------ Fig. 15 ---------------------------------
+  // --------------------------- Fig. 15 and 16 ----------------------------
 
-  /** Nonuniform bandwidth: 4 machines x 14 fragments; all fragments draw
-    * from the same key range (the paper's R.a in [1, 14M] per fragment).
+  /** Nonuniform bandwidth at one size: `machines x 14` fragments, all drawing
+    * `rowsPerFrag` rows from the same key range (the paper's R.a in [1, 14M]
+    * per fragment), as an all-to-one and an all-to-all scenario.
     */
-  def fig15(spark: SparkSession, rowsPerFrag: Int = 20000): (AllResults, AllResults) = {
-    val n = 4 * PerMachine
+  private def colocatedScenarios(spark: SparkSession, machines: Int, rowsPerFrag: Int)
+      : (Scenario, Scenario) = {
+    val n = machines * PerMachine
     val df = SynthData.uniformFragments(spark, n, rowsPerFrag, keySpace = rowsPerFrag.toLong)
     df.persist()
-    val topo = Topology.colocated(4, PerMachine)
-    val one = Algorithms.runAll(Scenarios.fromDataFrame(
-      "fig15-one", df, topo, Mapping.allToOne(0), KeyPartitioner.Single))
-    val all = Algorithms.runAll(Scenarios.fromDataFrame(
-      "fig15-all", df, topo, Mapping.allToAll(n), KeyPartitioner.Hashed(n)))
+    val topo = Topology.colocated(machines, PerMachine)
+    val one = Scenarios.fromDataFrame(
+      s"all-to-one-$n", df, topo, Mapping.allToOne(0), KeyPartitioner.Single)
+    val all = Scenarios.fromDataFrame(
+      s"all-to-all-$n", df, topo, Mapping.allToAll(n), KeyPartitioner.Hashed(n))
     df.unpersist()
     (one, all)
   }
 
-  // ------------------------------ Fig. 16 ---------------------------------
+  /** Fig. 15: 4 machines x 14 fragments of 20,000 rows. */
+  def fig15(spark: SparkSession): (AllResults, AllResults) = {
+    val (one, all) = colocatedScenarios(spark, 4, 20000)
+    (Algorithms.runAll(one), Algorithms.runAll(all))
+  }
 
-  /** Scale-out 28 → 112 fragments (2–8 machines x 14 fragments). */
-  def fig16(
-      spark: SparkSession,
-      rowsPerFrag: Int = 16000,
-      machineCounts: Seq[Int] = Seq(2, 4, 6, 8),
-  ): Seq[(Int, AllResults, AllResults)] =
-    machineCounts.map { machines =>
-      val n = machines * PerMachine
-      val df = SynthData.uniformFragments(spark, n, rowsPerFrag, keySpace = rowsPerFrag.toLong)
-      df.persist()
-      val topo = Topology.colocated(machines, PerMachine)
-      val one = Algorithms.runAll(Scenarios.fromDataFrame(
-        s"fig16-one-$n", df, topo, Mapping.allToOne(0), KeyPartitioner.Single))
-      val all = Algorithms.runAll(Scenarios.fromDataFrame(
-        s"fig16-all-$n", df, topo, Mapping.allToAll(n), KeyPartitioner.Hashed(n)))
-      df.unpersist()
-      (n, one, all)
-    }
+  /** Fig. 16: scale-out 28 → 112 fragments (2–8 machines x 14 fragments of
+    * 16,000 rows). The first all-to-all configuration is planned once,
+    * untimed, before the sweep, so that no reported plan time includes JIT
+    * compilation.
+    */
+  def fig16(spark: SparkSession): Seq[(Int, AllResults, AllResults)] = {
+    val sizes = Seq(2, 4, 6, 8).map(colocatedScenarios(spark, _, 16000))
+    Algorithms.grasp(sizes.head._2)
+    sizes.map { case (one, all) => (one.nFragments, Algorithms.runAll(one), Algorithms.runAll(all)) }
+  }
 
   // ------------------------------ Fig. 17 ---------------------------------
 
@@ -160,14 +163,11 @@ object Experiments {
     val machines = 8
     val n = machines * PerMachine
     val topo = Topology.colocated(machines, PerMachine)
-    def run(name: String, df: org.apache.spark.sql.DataFrame): (String, AllResults) =
-      name -> Algorithms.runAll(Scenarios.fromDataFrame(
-        name, df, topo, Mapping.allToOne(0), KeyPartitioner.Single))
     Seq(
-      run("TPC-H", SynthData.tpchQ18Fragments(spark, n, sf = 0.05)),
-      ("MODIS", Algorithms.runAll(modisScenario(spark, machines))),
-      run("Amazon", SynthData.reviewsLike(spark, n, rowsPerFrag = 18000, nUsers = 500000L)),
-      run("Yelp", SynthData.reviewsLike(spark, n, rowsPerFrag = 4500, nUsers = 130000L)),
+      "TPC-H" -> allToOne(SynthData.tpchQ18Fragments(spark, n, sf = 0.05), topo),
+      "MODIS" -> Algorithms.runAll(modisScenario(spark, machines)),
+      "Amazon" -> allToOne(SynthData.reviewsLike(spark, n, rowsPerFrag = 18000, nUsers = 500000L), topo),
+      "Yelp" -> allToOne(SynthData.reviewsLike(spark, n, rowsPerFrag = 4500, nUsers = 130000L), topo),
     )
   }
 
@@ -179,16 +179,17 @@ object Experiments {
 
   // ------------------------------ Fig. 19 ---------------------------------
 
-  /** Minhash intersection-estimation error quantiles over fragment pairs of
-    * the MODIS workload (paper: |error| < 10% for 90% of estimations).
+  /** Minhash intersection-estimation error quantiles over up to 600 sampled
+    * fragment pairs of the MODIS workload (paper: |error| < 10% for 90% of
+    * estimations).
     */
-  def fig19(spark: SparkSession, maxPairs: Int = 600): Seq[(Int, Double)] = {
+  def fig19(spark: SparkSession): Seq[(Int, Double)] = {
     val sc = modisScenario(spark, machines = 4)
     val n = sc.nFragments
     val rnd = new scala.util.Random(1)
     // Only pairs that actually overlap, as in the paper's plot — disjoint
     // pairs estimate an exactly-zero intersection and would flatten the CDF.
-    val pairs = Seq.fill(maxPairs)((rnd.nextInt(n), rnd.nextInt(n)))
+    val pairs = Seq.fill(600)((rnd.nextInt(n), rnd.nextInt(n)))
       .filter { case (s, t) => s != t }
       .map { case (s, t) =>
         (s, t, KeySet.intersectionSize(sc.data(s, 0).keys, sc.data(t, 0).keys))

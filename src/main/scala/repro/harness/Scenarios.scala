@@ -33,12 +33,11 @@ object Scenarios {
       topo: Topology,
       mapping: Mapping,
       partitioner: KeyPartitioner,
-      hasher: MinHasher = new MinHasher(),
       compute: Option[ComputeModel] = None,
   ): Scenario = {
     require(partitioner.numPartitions == mapping.numPartitions, "partitioner/mapping mismatch")
     val data = Fragments.collectClusterData(df, topo.nFragments, partitioner, preAggregated = true)
-    val stats = PlannerState.fromKeySets(data.keySets, hasher)
+    val stats = PlannerState.fromKeySets(data.keySets, new MinHasher())
     Scenario(name, topo, mapping, data, stats, TupleBytes, compute)
   }
 

@@ -6,6 +6,9 @@ package repro.harness
   */
 object TableFormat {
 
+  /** Title, header and rows of one exhibit. */
+  type Table = (String, Seq[String], Seq[Seq[String]])
+
   def render(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
     val all = header +: rows
     val widths = header.indices.map(i => all.map(_(i).length).max)
@@ -16,12 +19,4 @@ object TableFormat {
   }
 
   def fmt(d: Double): String = f"$d%.2f"
-
-  def emit(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
-    // Println on purpose: bench output is the deliverable recorded in
-    // EXPERIMENTS.md.
-    println()
-    println(render(title, header, rows))
-    println()
-  }
 }

@@ -35,6 +35,17 @@ class TopologySpec extends AnyFunSuite {
     assert(t.pairBandwidth(0, 1) == 4.0)
   }
 
+  test("phase network seconds: NICs shared per machine, busiest resource wins (Eq. 9)") {
+    val t = Topology(Vector(0, 0, 1, 1, 2), nicUpBw = 10.0, nicDownBw = 20.0, intraBw = 100.0)
+    assert(t.phaseNetworkSeconds(Seq.empty) == 0.0)
+    // Machine 0's uplink carries both of its fragments' bytes: (30 + 20) / 10.
+    assert(t.phaseNetworkSeconds(Seq((0, 2, 30.0), (1, 4, 20.0))) == 5.0)
+    // Two transfers into machine 2's downlink: (30 + 50) / 20 beats each uplink.
+    assert(t.phaseNetworkSeconds(Seq((0, 4, 30.0), (2, 4, 50.0))) == 5.0)
+    // Intra-machine transfers run side by side, not summed: max(300, 200) / 100.
+    assert(t.phaseNetworkSeconds(Seq((0, 1, 300.0), (3, 2, 200.0), (0, 4, 10.0))) == 3.0)
+  }
+
   test("constants match the paper's measured numbers") {
     assert(Topology.OneGbps == 118.0 * 1024 * 1024)
     assert(ComputeModel.Measured.aggRawBw == 309.0 * 1024 * 1024)

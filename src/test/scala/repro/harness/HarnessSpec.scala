@@ -78,14 +78,10 @@ class HarnessSpec extends SparkSpec {
     val sc = smallScenario()
     val all = Algorithms.runAll(sc)
     assert(Report.table2(all)._3.size == 4)
-    assert(Report.fig10(Seq(0.5 -> all))._3.nonEmpty)
-    assert(Report.fig11(Seq(2 -> all))._3.nonEmpty)
-    assert(Report.fig15(all, all.copy(loom = None))._3.nonEmpty)
-    assert(Report.fig17(Seq("X" -> all))._3.nonEmpty)
-    assert(Report.fig20(all)._3.nonEmpty)
+    assert(Report.speedups("T", Seq("one" -> all, "all" -> all.copy(loom = None)),
+      Seq(Seq("paper", "-", "1.0", "n/a", "1")))._3.nonEmpty)
     assert(Report.fig19(Seq(90 -> 0.05))._3.nonEmpty)
     assert(Report.fig14(all.grasp, Seq(("x", 0.2, all.grasp)))._3.nonEmpty)
     assert(Report.fig16(Seq((28, all, all.copy(loom = None))))._3.nonEmpty)
-    assert(Report.fig12(Seq(1.0 -> all.copy(loom = None)))._3.nonEmpty)
   }
 }
