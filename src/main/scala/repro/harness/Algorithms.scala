@@ -11,7 +11,6 @@ object Algorithms {
       algo: String,
       seconds: Double,
       tuplesIntoDest: Long,
-      phases: Int,
       planMillis: Long,
   )
 
@@ -31,7 +30,7 @@ object Algorithms {
     val plan = planner
     val ms = (System.nanoTime() - t0) / 1000000L
     val r = sc.simulator.run(plan, data, sc.mapping)
-    RunResult(algo, r.totalSeconds, r.tuplesIntoDestinations, plan.numPhases, ms)
+    RunResult(algo, r.totalSeconds, r.tuplesIntoDestinations, ms)
   }
 
   /** Repart: raw tuples straight to the destination, no local aggregation. */

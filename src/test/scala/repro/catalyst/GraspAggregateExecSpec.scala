@@ -3,6 +3,7 @@ package repro.catalyst
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
@@ -242,6 +243,33 @@ class GraspAggregateExecSpec extends SparkSpec {
     assert(phasesBelow(left.head) == phases)
     left.foreach(_.unpersist(blocking = true))
     input.unpersist()
+  }
+
+  test("fragment states persisted on disk read back equal tables") {
+    // The spill path: a block of the operator's RDDs written to disk and
+    // read back, as when the memory store evicts a phase's block.
+    val ops = new AggStateOps(Seq(AggSpec.sum("v", "s"), AggSpec.count("c")))
+    def fragment(f: Int): FragmentState = {
+      val shares = Array.tabulate(3) { l =>
+        val t = new StateTable(ops, 0)
+        (0 until 500).foreach(k => t.update(f * 10000L + l * 1000L + k % 400, Array(k.toDouble, 1.0)))
+        t
+      }
+      new FragmentState(shares, received = 10L + f, receivedIntoDestination = f.toLong)
+    }
+    def entries(t: StateTable) =
+      (0 until t.size).map(i => t.key(i) -> t.states.slice(i * t.width, (i + 1) * t.width).toSeq)
+    def contents(s: FragmentState) = (s.received, s.receivedIntoDestination, s.shares.toSeq.map(entries))
+    val sc = spark.sparkContext
+    val onDisk = sc.parallelize(0 until 4, 4).map(fragment).persist(StorageLevel.DISK_ONLY)
+    try {
+      val expected = (0 until 4).map(f => contents(fragment(f)))
+      assert(onDisk.map(contents).collect().toSeq == expected)
+      val stored = sc.getRDDStorageInfo.find(_.id == onDisk.id)
+      assert(stored.exists(i => i.numCachedPartitions == 4 && i.diskSize > 0 && i.memSize == 0), stored)
+      // A second job reads every partition back from its disk block.
+      assert(onDisk.map(contents).collect().toSeq == expected)
+    } finally onDisk.unpersist(blocking = true)
   }
 
   test("a deep plan over 64 fragments matches DuckDB") {

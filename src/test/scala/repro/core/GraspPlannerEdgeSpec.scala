@@ -106,6 +106,29 @@ class GraspPlannerEdgeSpec extends AnyFunSuite {
     }
   }
 
+  test("the candidate-id cap rejects too many fragments with its message, before allocating") {
+    // One-component signatures keep the statistics small; every row of the
+    // bandwidth matrix is the same array.
+    val tiny = new MinHasher(numHashes = 1, seed = 1)
+    def stats(n: Int, m: Int) =
+      PlannerState.fromStats(Array.fill(n, m)(1L), Array.fill(n, m)(tiny.emptySignature), tiny)
+    def bandwidth(n: Int) = { val row = Array.fill(n)(1.0); Array.fill(n)(row) }
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    for ((n, m, mapping) <- Seq((1025, 1025, Mapping.allToAll(1025)), (32769, 1, Mapping.allToOne(0)))) {
+      val (st, bw) = (stats(n, m), bandwidth(n))
+      val before = threads.getCurrentThreadAllocatedBytes
+      val e = intercept[IllegalArgumentException](new GraspPlanner(st, bw, mapping, W))
+      val allocated = threads.getCurrentThreadAllocatedBytes - before
+      assert(e.getMessage.contains("n ≤ 1,024 when m = n"), e.getMessage)
+      // A copy of the statistics alone would take megabytes.
+      assert(allocated < (1L << 20), s"n=$n m=$m: $allocated bytes allocated before the check")
+    }
+    // n = m = 1,024 is accepted; the planner is only built, not run.
+    assert(!new GraspPlanner(stats(1024, 1024), bandwidth(1024), Mapping.allToAll(1024), W)
+      .cost(1, 0, 0).isPosInfinity)
+  }
+
   test("mismatched bandwidth matrix arity is rejected") {
     val raw = Array(Array(1L), Array(2L))
     val (_, stats) = LocalGen.scenario(raw, KeyPartitioner.Single, preAggregated = true, hasher)

@@ -181,10 +181,11 @@ class GraspPlannerSpec extends AnyFunSuite with PropChecks {
 
   // --- Oracle: the incremental planner returns the rescanning reference's plans.
 
-  private def assertSamePlan(stats: PlannerState, bw: Array[Array[Double]], mapping: Mapping): Unit = {
+  private def assertSamePlan(stats: PlannerState, bw: Array[Array[Double]], mapping: Mapping): AggPlan = {
     val plan = new GraspPlanner(stats, bw, mapping, W).plan()
     val reference = new ReferenceGraspPlanner(stats, bw, mapping, W).plan()
     assert(plan == reference, s"mapping=${mapping.destinationOf}")
+    plan
   }
 
   /** n fragments, m partitions mapped to random (possibly shared)
@@ -250,6 +251,24 @@ class GraspPlannerSpec extends AnyFunSuite with PropChecks {
     val stats = PlannerState.fromKeySets(half.map(row => row ++ row), new MinHasher(numHashes = 16, seed = 3))
     val bw = Array.fill(n, n)(math.pow(10.0, 12 * rnd.nextDouble()))
     assertSamePlan(stats, bw, Mapping.allToAll(n))
+  }
+
+  test("oracle: same plans as the reference planner at n in {1, 2, 3, 15, 16, 17}, both mappings") {
+    // Candidate ids pack s and t into bit fields of max(1, ⌈log₂ n⌉) bits.
+    // These sizes fill the fields exactly or leave values unused, and n = 1
+    // has no transfer at all.
+    val weak = new MinHasher(numHashes = 8, seed = 7)
+    for (n <- Seq(1, 2, 3, 15, 16, 17); perMachine <- Seq(n, 4)) {
+      val raw = LocalGen.uniformDraws(n, 60, keySpace = 90, seed = n)
+      val topo = Topology(Vector.tabulate(n)(_ / perMachine), Topology.OneGbps, Topology.OneGbps,
+        Topology.IntraMachine)
+      val (_, all) = LocalGen.scenario(raw, KeyPartitioner.Hashed(n), preAggregated = true, weak)
+      val (_, one) = LocalGen.scenario(raw, KeyPartitioner.Single, preAggregated = true, weak)
+      val plans = Seq(
+        assertSamePlan(all, topo.bandwidthMatrix, Mapping.allToAll(n)),
+        assertSamePlan(one, topo.bandwidthMatrix, Mapping.allToOne(n - 1)))
+      plans.foreach(p => assert((p.numTransfers > 0) == (n > 1), s"n=$n: $p"))
+    }
   }
 
   test("property: random all-to-all instances terminate with a valid complete plan") {
