@@ -9,15 +9,21 @@ import repro.harness.{Experiments, Report}
   * Preagg+Repart and 7.5x over LOOM at 112) because repartitioning
   * bottlenecks on the destination's receiving link; all-to-all speedup
   * peaks near 56 fragments and then declines as GRASP's planning cost
-  * grows. Reproduced shape: monotone all-to-one growth; the all-to-all
-  * planning wall-clock blows up super-linearly (reported in the table),
-  * which is the paper's stated cause of the decline.
+  * grows. Reproduced shape: monotone all-to-one growth. The all-to-all
+  * planning wall-clock, the paper's stated cause of the decline, is timed
+  * on its own by [[BenchPlanner]].
   */
 class BenchFig16 extends SparkSpec {
 
-  test("Fig. 16: all-to-one speedup grows with fragments; planning cost grows all-to-all") {
+  test("Fig. 16: all-to-one speedup grows with fragments") {
     val results = Experiments.fig16(spark)
-    Exhibits.emit(suiteName, Report.fig16(results), wallClock = Set("GRASP plan time"))
+    val labelled = results.flatMap { case (n, one, all) =>
+      Seq(s"all-to-one n=$n" -> one, s"all-to-all n=$n" -> all)
+    }
+    Exhibits.emit(suiteName, Report.speedups("Fig. 16: scale-out (14 fragments/machine)", labelled,
+      Seq(
+        Seq("paper @112 one", "-", "1.0", "~5.5", "41"),
+        Seq("paper @56 all", "-", "1.0", "n/a", "4.6"))))
 
     val oneSpeedups = results.map { case (_, one, _) => one.speedupOverPreagg(one.grasp) }
     oneSpeedups.sliding(2).foreach { case Seq(a, b) =>
@@ -29,9 +35,5 @@ class BenchFig16 extends SparkSpec {
     results.foreach { case (n, _, all) =>
       assert(all.speedupOverPreagg(all.grasp) >= 3.0, s"all-to-all GRASP at n=$n")
     }
-    // The planning cost phenomenon behind the paper's Fig. 16b decline.
-    val planTimes = results.map { case (_, _, all) => all.grasp.planMillis }
-    assert(planTimes.last > planTimes.head * 10,
-      s"all-to-all planning cost should grow super-linearly: $planTimes")
   }
 }

@@ -70,6 +70,10 @@ class BenchPlanner extends AnyFunSuite {
     val writer = new PrintWriter(out, "UTF-8")
     try writer.write(json(rows)) finally writer.close()
     println(s"wrote ${out.getName}")
+    // The planning cost phenomenon behind the paper's Fig. 16b decline.
+    val planTimes = rows.filter(r => r.mapping == "all-to-all" && (r.n == 28 || r.n == 112)).map(_.median)
+    assert(planTimes.last > planTimes.head * 10,
+      s"all-to-all planning cost should grow super-linearly: $planTimes")
   }
 }
 

@@ -15,8 +15,7 @@ import repro.harness.TableFormat.Table
   * the same tables write the same file, so one diff compares them.
   *
   * One entry per suite, keyed by suite name and written in name order;
-  * running one suite rewrites only its own entry. Wall-clock columns are
-  * printed but not recorded, since they differ between runs of the same code.
+  * running one suite rewrites only its own entry.
   */
 object Exhibits {
 
@@ -28,19 +27,18 @@ object Exhibits {
     if (new File(cwd, "ROADMAP.md").exists) cwd else cwd.getParentFile
   }
 
-  def emit(suite: String, table: Table, wallClock: Set[String] = Set.empty): Unit = {
+  def emit(suite: String, table: Table): Unit = {
     val (title, header, rows) = table
     // Println on purpose: bench output is the deliverable recorded in
     // EXPERIMENTS.md.
     println()
     println(TableFormat.render(title, header, rows))
     println()
-    val kept = header.indices.filterNot(i => wallClock(header(i)))
     val file = new File(repoRoot, "BENCH_experiments.json")
     val recorded =
       if (file.exists) mapper.readTree(file).properties.asScala.map(e => e.getKey -> read(e.getValue)).toMap
       else Map.empty[String, Table]
-    val updated = recorded + (suite -> ((title, kept.map(header), rows.map(r => kept.map(r)))))
+    val updated = recorded + (suite -> table)
     val writer = new PrintWriter(file, "UTF-8")
     try writer.write(updated.toSeq.sortBy(_._1).map((write _).tupled).mkString("{\n", ",\n", "\n}\n"))
     finally writer.close()

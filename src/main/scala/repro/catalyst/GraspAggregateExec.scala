@@ -11,7 +11,7 @@ import org.apache.spark.sql.execution.metric.{SQLMetric, SQLMetrics}
 import org.apache.spark.sql.types._
 import org.apache.spark.storage.StorageLevel
 
-import repro.core.{AggPlan, GraspPlanner, KeyPartitioner, Mapping, MinHasher, PlannerState}
+import repro.core.{AggPlan, GraspPlanner, KeyPartitioner, Mapping, MinHasher, Phase, PlannerState}
 import repro.exec.{AggFunc, AggSpec}
 
 /** Mutable aggregation-state algebra over flat `Array[Double]`s: every
@@ -110,17 +110,11 @@ final class FragmentState(
     val receivedIntoDestination: Long,
 ) extends Serializable
 
-/** Partition of a [[MergePhaseRDD]]: the fragment's own parent partition,
-  * the partitions `l` it ships out this phase, and each parent partition
-  * scheduled to send it shares, with the `l`s it sends (captured on the
-  * driver — parent `partitions` arrays are not available on executors).
+/** Partition `index` of a [[MergePhaseRDD]]: fragment `index`, and nothing
+  * else, so a task's payload does not grow with the plan. Top-level, since
+  * an anonymous class would capture the RDD.
   */
-private final class MergePhasePartition(
-    override val index: Int,
-    val own: Partition,
-    val sent: Array[Int],
-    val sources: Array[(Partition, Array[Int])],
-) extends Partition
+private final class FragmentPartition(override val index: Int) extends Partition
 
 /** One GRASP phase as a narrow RDD transformation.
   *
@@ -131,8 +125,12 @@ private final class MergePhasePartition(
   * added to the fragment's running totals. Only those arriving tables are
   * read, so a phase does work in proportion to the tuples it moves; every
   * other share is passed on by reference. The dependency set is exactly the
-  * scheduled transfers, so the "network" of the paper becomes the
+  * phase's transfers, so the "network" of the paper becomes the
   * partition-to-partition edges of the DAG.
+  *
+  * The parent's partitions are taken once, on the driver, into a field of
+  * this RDD, which reaches executors once per stage inside the task binary
+  * (an RDD's own `partitions` are transient).
   *
   * The phases of a plan are chained and persisted, and one job on the last
   * phase materializes the whole chain: each task pulls its lineage through
@@ -147,46 +145,41 @@ private final class MergePhasePartition(
   */
 final class MergePhaseRDD(
     prev: RDD[FragmentState],
-    sends: Map[(Int, Int), Int], // (srcFragment, partition) -> dstFragment
+    phase: Phase,
     mapping: Mapping,
     ops: AggStateOps,
 ) extends RDD[FragmentState](
       prev.sparkContext,
       Seq(new NarrowDependency(prev) {
         override def getParents(pid: Int): Seq[Int] =
-          (pid +: sends.toSeq.collect { case ((s, _), `pid`) => s }).distinct
+          pid +: phase.transfers.filter(_.dst == pid).map(_.src).distinct
       })) {
 
-  override def getPartitions: Array[Partition] = {
-    val parents = prev.partitions
-    Array.tabulate(parents.length) { pid =>
-      val sent = sends.keys.collect { case (`pid`, l) => l }.toArray
-      val sources = sends.toArray.collect { case ((s, l), `pid`) => (s, l) }
-        .groupBy(_._1).toArray.sortBy(_._1)
-        .map { case (s, ls) => (parents(s), ls.map(_._2)) }
-      new MergePhasePartition(pid, parents(pid), sent, sources)
-    }
-  }
+  private val parents: Array[Partition] = prev.partitions
+
+  override def getPartitions: Array[Partition] = Array.tabulate(parents.length)(new FragmentPartition(_))
 
   override def compute(split: Partition, ctx: TaskContext): Iterator[FragmentState] = {
-    val part = split.asInstanceOf[MergePhasePartition]
+    val v = split.index
     val parent = firstParent[FragmentState]
-    val own = single(parent.iterator(part.own, ctx))
+    def fragment(u: Int): FragmentState = single(parent.iterator(parents(u), ctx))
+    val own = fragment(v)
     val shares = own.shares.clone()
     val empty = new StateTable(ops, 0)
-    part.sent.foreach(l => shares(l) = empty)
-    // Arriving shares, merged into the local ones (Eq. 1 / Eq. 6).
-    val arriving = part.sources.flatMap { case (src, ls) =>
-      val from = single(parent.iterator(src, ctx)).shares
-      ls.map(l => l -> from(l))
-    }
+    phase.transfers.foreach(t => if (t.src == v) shares(t.partition) = empty)
+    // Arriving shares, merged into the local ones (Eq. 1 / Eq. 6) in
+    // ascending source order, so floating-point sums do not depend on the
+    // order of the plan's transfers.
+    val arriving = phase.transfers.filter(_.dst == v)
+    val from = arriving.map(_.src).distinct.map(s => s -> fragment(s).shares).toMap
     var received = own.received
     var intoDestination = own.receivedIntoDestination
-    arriving.groupBy(_._1).foreach { case (l, in) =>
-      val tuples = in.map(_._2.size.toLong).sum
+    arriving.groupBy(_.partition).foreach { case (l, in) =>
+      val tables = in.sortBy(_.src).map(t => from(t.src)(l))
+      val tuples = tables.map(_.size.toLong).sum
       received += tuples
-      if (mapping(l) == part.index) intoDestination += tuples
-      shares(l) = StateTable.union(ops, shares(l) +: in.map(_._2).toSeq)
+      if (mapping(l) == v) intoDestination += tuples
+      shares(l) = StateTable.union(ops, shares(l) +: tables)
     }
     Iterator.single(new FragmentState(shares, received, intoDestination))
   }
@@ -251,6 +244,7 @@ object PhasedAggregation {
       case LongType    => row.getLong(ord).toDouble
       case IntegerType => row.getInt(ord).toDouble
       case ShortType   => row.getShort(ord).toDouble
+      case ByteType    => row.getByte(ord).toDouble
       case d: DecimalType => row.getDecimal(ord, d.precision, d.scale).toDouble
       case other => throw new IllegalArgumentException(s"unsupported aggregate input type $other")
     }
@@ -331,8 +325,7 @@ object PhasedAggregation {
     // Once it has run, only the last phase stays cached, for the projection.
     val phasesStart = System.nanoTime()
     val chain = aggPlan.phases.scanLeft(local) { (prev, phase) =>
-      val sends = phase.transfers.map(t => (t.src, t.partition) -> t.dst).toMap
-      new MergePhaseRDD(prev, sends, mapping, ops).persist(StorageLevel.MEMORY_AND_DISK)
+      new MergePhaseRDD(prev, phase, mapping, ops).persist(StorageLevel.MEMORY_AND_DISK)
     }
     val state = chain.last
     if (chain.length > 1) {

@@ -35,8 +35,6 @@ final class ClusterData(val shares: Array[Array[Share]]) {
     */
   def globalCardinality(l: Int): Long =
     shares.iterator.map(_(l).keys).foldLeft(KeySet.empty)(KeySet.union).length.toLong
-
-  def totalRawTuples: Long = shares.iterator.flatten.map(_.rawCount).sum
 }
 
 /** Receiver-side compute throughputs (bytes/second), as measured in §5.3.5:
@@ -58,9 +56,7 @@ final case class SimResult(
     tuplesReceived: Array[Long],
     tuplesIntoDestinations: Long,
     resultCardinalities: Array[Long],
-) {
-  def networkSeconds: Double = phaseSeconds.sum
-}
+)
 
 /** Executes an aggregation plan over exact cluster data under the paper's
   * cost model:

@@ -7,12 +7,7 @@ import repro.core._
   */
 object Algorithms {
 
-  final case class RunResult(
-      algo: String,
-      seconds: Double,
-      tuplesIntoDest: Long,
-      planMillis: Long,
-  )
+  final case class RunResult(algo: String, seconds: Double, tuplesIntoDest: Long)
 
   final case class AllResults(
       repart: RunResult,
@@ -24,13 +19,10 @@ object Algorithms {
     def toSeq: Seq[RunResult] = Seq(Some(repart), Some(preaggRepart), loom, Some(grasp)).flatten
   }
 
-  /** Times `planner`, then simulates its plan over `data`. */
-  private def run(algo: String, sc: Scenario, data: ClusterData)(planner: => AggPlan): RunResult = {
-    val t0 = System.nanoTime()
-    val plan = planner
-    val ms = (System.nanoTime() - t0) / 1000000L
+  /** Simulates `plan` over `data`. */
+  private def run(algo: String, sc: Scenario, data: ClusterData)(plan: AggPlan): RunResult = {
     val r = sc.simulator.run(plan, data, sc.mapping)
-    RunResult(algo, r.totalSeconds, r.tuplesIntoDestinations, ms)
+    RunResult(algo, r.totalSeconds, r.tuplesIntoDestinations)
   }
 
   /** Repart: raw tuples straight to the destination, no local aggregation. */

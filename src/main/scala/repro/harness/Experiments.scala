@@ -144,15 +144,12 @@ object Experiments {
   }
 
   /** Fig. 16: scale-out 28 → 112 fragments (2–8 machines x 14 fragments of
-    * 16,000 rows). The first all-to-all configuration is planned once,
-    * untimed, before the sweep, so that no reported plan time includes JIT
-    * compilation.
+    * 16,000 rows).
     */
-  def fig16(spark: SparkSession): Seq[(Int, AllResults, AllResults)] = {
-    val sizes = Seq(2, 4, 6, 8).map(colocatedScenarios(spark, _, 16000))
-    Algorithms.grasp(sizes.head._2)
-    sizes.map { case (one, all) => (one.nFragments, Algorithms.runAll(one), Algorithms.runAll(all)) }
-  }
+  def fig16(spark: SparkSession): Seq[(Int, AllResults, AllResults)] =
+    Seq(2, 4, 6, 8).map(colocatedScenarios(spark, _, 16000)).map { case (one, all) =>
+      (one.nFragments, Algorithms.runAll(one), Algorithms.runAll(all))
+    }
 
   // ------------------------------ Fig. 17 ---------------------------------
 

@@ -33,19 +33,6 @@ object Report {
       Seq("perturbation", "underest.", "seconds", "baseline s", "delta"), rows)
   }
 
-  /** Fig. 16's speedup table with GRASP's planning wall-clock appended. */
-  def fig16(results: Seq[(Int, AllResults, AllResults)]): Table = {
-    val labelled = results.flatMap { case (n, one, all) =>
-      Seq(s"all-to-one n=$n" -> one, s"all-to-all n=$n" -> all)
-    }
-    val paper = Seq(
-      Seq("paper @112 one", "-", "1.0", "~5.5", "41"),
-      Seq("paper @56 all", "-", "1.0", "n/a", "4.6"))
-    val (title, header, rows) = speedups("Fig. 16: scale-out (14 fragments/machine)", labelled, paper)
-    val planTimes = labelled.map { case (_, r) => s"${r.grasp.planMillis}ms" } ++ paper.map(_ => "-")
-    (title, header :+ "GRASP plan time", rows.zip(planTimes).map { case (row, t) => row :+ t })
-  }
-
   def table2(r: AllResults): Table = {
     def row(label: String, rr: RunResult, paper: Long): Seq[String] =
       Seq(label, rr.tuplesIntoDest.toString,

@@ -1,5 +1,6 @@
 package repro.catalyst
 
+import org.apache.spark.SparkEnv
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
@@ -76,6 +77,14 @@ class GraspAggregateExecSpec extends SparkSpec {
         "CAST(SUM(CAST(iv AS DOUBLE)) AS DOUBLE) AS si, " +
         "CAST(AVG(CAST(dv AS DOUBLE)) AS DOUBLE) AS ad FROM r GROUP BY key",
       "r" -> df)
+  }
+
+  test("byte/short/float aggregate inputs are accepted") {
+    import spark.implicits._
+    val df = Seq.tabulate(300)(i => (i.toLong % 11, (i % 120 - 60).toByte, (i * 7).toShort, i / 4.0f))
+      .toDF("key", "bv", "sv", "fv").repartition(5)
+    val specs = Seq(AggSpec.sum("bv", "sb"), AggSpec.min("sv", "ms"), AggSpec.avg("fv", "af"))
+    assertMatchesDuck(Grasp.aggregate(df, "key", specs), df, specs)
   }
 
   test("single-partition input needs no merge phases") {
@@ -279,6 +288,23 @@ class GraspAggregateExecSpec extends SparkSpec {
     val out = Grasp.aggregate(byFragment(df, n), "key", specs)
     assertMatchesDuck(out, df, specs)
     assert(findExec(out.queryExecution.executedPlan).get.metrics("numPhases").value > n)
+  }
+
+  test("a task's partition of a 64-fragment plan's last phase serializes to under 1 KB") {
+    val n = 64
+    val df = intValued(SynthData.overlapFragments(spark, n, 200, jaccard = 0.5, seed = 13))
+    val out = Grasp.aggregate(byFragment(df, n), "key", Seq(AggSpec.sum("v", "s")))
+    def lastPhase(rdd: RDD[_]): MergePhaseRDD = rdd match {
+      case p: MergePhaseRDD => p
+      case _                => lastPhase(rdd.dependencies.head.rdd)
+    }
+    val last = lastPhase(out.queryExecution.toRdd)
+    try {
+      val serializer = SparkEnv.get.closureSerializer.newInstance()
+      val sizes = last.partitions.map(p => serializer.serialize(p).limit())
+      assert(sizes.length == n)
+      assert(sizes.max < 1024, s"partition sizes in bytes: ${sizes.distinct.sorted.mkString(", ")}")
+    } finally last.unpersist(blocking = true)
   }
 
   test("operator composes with downstream operators (filter + order by)") {

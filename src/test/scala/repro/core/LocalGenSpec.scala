@@ -69,6 +69,6 @@ class LocalGenSpec extends AnyFunSuite {
     val raw = Array(Array(1L, 2L), Array(2L, 3L), Array(3L, 4L))
     val (data, _) = LocalGen.scenario(raw, KeyPartitioner.Single, preAggregated = true)
     assert(data.globalCardinality(0) == 4)
-    assert(data.totalRawTuples == 6)
+    assert(data.shares.iterator.flatten.map(_.rawCount).sum == 6)
   }
 }

@@ -82,6 +82,5 @@ class HarnessSpec extends SparkSpec {
       Seq(Seq("paper", "-", "1.0", "n/a", "1")))._3.nonEmpty)
     assert(Report.fig19(Seq(90 -> 0.05))._3.nonEmpty)
     assert(Report.fig14(all.grasp, Seq(("x", 0.2, all.grasp)))._3.nonEmpty)
-    assert(Report.fig16(Seq((28, all, all.copy(loom = None))))._3.nonEmpty)
   }
 }
