@@ -11,7 +11,7 @@ import org.apache.spark.sql.execution.metric.{SQLMetric, SQLMetrics}
 import org.apache.spark.sql.types._
 import org.apache.spark.storage.StorageLevel
 
-import repro.core.{AggPlan, GraspPlanner, KeyPartitioner, Mapping, MinHasher, Phase, PlannerState}
+import repro.core.{AggPlan, GraspPlanner, KeyPartitioner, Mapping, MinHasher, PlannerState}
 import repro.exec.{AggFunc, AggSpec}
 
 /** Mutable aggregation-state algebra over flat `Array[Double]`s: every
@@ -98,100 +98,78 @@ final class AggStateOps(specs: Seq[AggSpec]) extends Serializable {
   }
 }
 
-/** One fragment's partition of the operator's RDDs: its `m` shares, one
-  * [[StateTable]] per data partition `l`, and the tuples it has received
-  * in all phases so far, in total and into the shares whose destination it
-  * is. The totals are part of the element, so a recomputed partition
-  * carries the same counts and nothing is counted twice.
+/** Data partition `l` merged: its destination's table and the tuples `l`'s
+  * transfers moved, in total and into the destination. A recomputed
+  * partition carries the same counts, so nothing is counted twice.
   */
-final class FragmentState(
-    val shares: Array[StateTable],
+final class MergedPartition(
+    val table: StateTable,
     val received: Long,
     val receivedIntoDestination: Long,
 ) extends Serializable
 
-/** Partition `index` of a [[MergePhaseRDD]]: fragment `index`, and nothing
-  * else, so a task's payload does not grow with the plan. Top-level, since
-  * an anonymous class would capture the RDD.
+/** Partition `index` of a [[MergeTreeRDD]]: data partition `index`, and
+  * nothing else. Top-level, since an anonymous class would capture the RDD.
   */
-private final class FragmentPartition(override val index: Int) extends Partition
+private final class DataPartition(override val index: Int) extends Partition
 
-/** One GRASP phase as a narrow RDD transformation.
+/** A phased plan as one narrow RDD over the fragments' local shares, whose
+  * partition `l` is data partition `l` merged at its destination.
   *
-  * Partition `p` of this RDD holds fragment `p` after the phase: a copy of
-  * the parent's array of table references in which the shares sent away are
-  * empty and each share that receives data is the [[StateTable.union]] of
-  * its own table and the arriving ones, with the arriving tables' sizes
-  * added to the fragment's running totals. Only those arriving tables are
-  * read, so a phase does work in proportion to the tuples it moves; every
-  * other share is passed on by reference. The dependency set is exactly the
-  * phase's transfers, so the "network" of the paper becomes the
-  * partition-to-partition edges of the DAG.
+  * A transfer `s → t` of `l` reads and writes only shares of `l` (Eq. 1 /
+  * Eq. 6), so task `l` reads `l`'s local share at its destination and at
+  * each fragment in its transfers, which are its dependencies, and replays
+  * the transfers phase by phase ([[PhasedAggregation.replay]]) with
+  * [[StateTable.union]], which passes a lone table on by reference. So a
+  * merge does work in proportion to the tuples it moves, and a result may
+  * share tables with the local blocks, which no task changes.
   *
-  * The parent's partitions are taken once, on the driver, into a field of
-  * this RDD, which reaches executors once per stage inside the task binary
-  * (an RDD's own `partitions` are transient).
-  *
-  * The phases of a plan are chained and persisted, and one job on the last
-  * phase materializes the whole chain: each task pulls its lineage through
-  * the block manager, whose first-writer-wins block locks compute every
-  * (phase, fragment) block exactly once. A task only waits for blocks of
-  * earlier phases than the one it holds, so the waits cannot form a cycle.
-  *
-  * Invariant: no table is changed after the task that built it returns it.
-  * That is what makes it safe for cached blocks of consecutive phases to
-  * share tables, and for Spark to recompute any phase partition from its
-  * parents.
+  * `moves(l)` holds `l`'s transfers as flat (phase, src, dst) triples in plan
+  * order. It and the parent's partitions, taken on the driver (an RDD's own
+  * `partitions` are transient), reach executors once per stage in the task
+  * binary, which so grows as O(transfers).
   */
-final class MergePhaseRDD(
-    prev: RDD[FragmentState],
-    phase: Phase,
+final class MergeTreeRDD(
+    local: RDD[Array[StateTable]],
+    moves: Array[Array[Int]],
     mapping: Mapping,
     ops: AggStateOps,
-) extends RDD[FragmentState](
-      prev.sparkContext,
-      Seq(new NarrowDependency(prev) {
-        override def getParents(pid: Int): Seq[Int] =
-          pid +: phase.transfers.filter(_.dst == pid).map(_.src).distinct
+) extends RDD[MergedPartition](
+      local.sparkContext,
+      Seq(new NarrowDependency(local) {
+        override def getParents(l: Int): Seq[Int] = MergeTreeRDD.fragments(moves(l), mapping(l)).toSeq
       })) {
 
-  private val parents: Array[Partition] = prev.partitions
+  private val parents: Array[Partition] = local.partitions
 
-  override def getPartitions: Array[Partition] = Array.tabulate(parents.length)(new FragmentPartition(_))
+  override def getPartitions: Array[Partition] = Array.tabulate(moves.length)(new DataPartition(_))
 
-  override def compute(split: Partition, ctx: TaskContext): Iterator[FragmentState] = {
-    val v = split.index
-    val parent = firstParent[FragmentState]
-    def fragment(u: Int): FragmentState = single(parent.iterator(parents(u), ctx))
-    val own = fragment(v)
-    val shares = own.shares.clone()
-    val empty = new StateTable(ops, 0)
-    phase.transfers.foreach(t => if (t.src == v) shares(t.partition) = empty)
-    // Arriving shares, merged into the local ones (Eq. 1 / Eq. 6) in
-    // ascending source order, so floating-point sums do not depend on the
-    // order of the plan's transfers.
-    val arriving = phase.transfers.filter(_.dst == v)
-    val from = arriving.map(_.src).distinct.map(s => s -> fragment(s).shares).toMap
-    var received = own.received
-    var intoDestination = own.receivedIntoDestination
-    arriving.groupBy(_.partition).foreach { case (l, in) =>
-      val tables = in.sortBy(_.src).map(t => from(t.src)(l))
-      val tuples = tables.map(_.size.toLong).sum
-      received += tuples
-      if (mapping(l) == v) intoDestination += tuples
-      shares(l) = StateTable.union(ops, shares(l) +: tables)
+  override def compute(split: Partition, ctx: TaskContext): Iterator[MergedPartition] = {
+    val l = split.index
+    val dest = mapping(l)
+    val share = new Array[StateTable](parents.length)
+    MergeTreeRDD.fragments(moves(l), dest).foreach { v =>
+      // Draining the iterator releases the read lock of the cached block.
+      val it = firstParent[Array[StateTable]].iterator(parents(v), ctx)
+      share(v) = it.next()(l)
+      require(!it.hasNext, "a fragment partition holds one element")
     }
-    Iterator.single(new FragmentState(shares, received, intoDestination))
+    var received = 0L
+    var intoDestination = 0L
+    PhasedAggregation.replay(moves(l), share, new StateTable(ops, 0)) { (t, own, arriving) =>
+      val tuples = arriving.map(_.size.toLong).sum
+      received += tuples
+      if (t == dest) intoDestination += tuples
+      StateTable.union(ops, own +: arriving)
+    }
+    Iterator.single(new MergedPartition(share(dest), received, intoDestination))
   }
+}
 
-  /** The one element of a parent partition. Draining the iterator releases
-    * the read lock of a cached block.
-    */
-  private def single(it: Iterator[FragmentState]): FragmentState = {
-    val fragment = it.next()
-    require(!it.hasNext, "a fragment partition holds one element")
-    fragment
-  }
+private object MergeTreeRDD {
+  /** The fragments task `l` reads: its destination and those in its transfers. */
+  def fragments(moves: Array[Int], dest: Int): Array[Int] =
+    (dest +: moves.indices.filter(_ % 3 != 0).map(moves)).distinct.sorted.toArray
 }
 
 /** The one executor of phased plans: `SELECT key, aggs GROUP BY key` over
@@ -202,12 +180,11 @@ final class MergePhaseRDD(
   *      partition `l` of `partitioner`;
   *   2. per-(fragment, partition) cardinality + minhash statistics,
   *      collected to the driver (step 2–3 of Fig. 5);
-  *   3. `plan` over those statistics (steps 4–8), replayed on the driver to
-  *      check that it leaves every share at its destination (Eq. 7);
-  *   4. one [[MergePhaseRDD]] per phase (step 9), chained and persisted,
-  *      and one job over the chain that materializes every phase on the
-  *      way to the last, computing each share exactly once;
-  *   5. projection of the final tables to unsafe rows.
+  *   3. `plan` over those statistics (steps 4–8), replayed over which shares
+  *      hold data, to check that every share ends at its destination (Eq. 7);
+  *   4. one [[MergeTreeRDD]] (step 9), whose task `l` runs partition `l`'s
+  *      transfers, persisted by one job;
+  *   5. projection of the destination tables to unsafe rows.
   *
   * So a query runs three jobs (statistics, merge, projection), or two when
   * the plan has no phases.
@@ -215,10 +192,9 @@ final class MergePhaseRDD(
   * SQL metrics expose the phase count, the tuples moved between fragments
   * and those received by their destination fragment (Table 2), and the
   * wall-clock of steps 1–2 together (one job), of step 3's `plan` call and
-  * of step 4. The tuple counts are the running totals each fragment carries
-  * through the phases ([[FragmentState]]), which the merge job returns and
-  * the driver adds once, so a phase partition that Spark recomputes does
-  * not count twice.
+  * of step 4. The tuple counts are carried in each merged partition
+  * ([[MergedPartition]]), which the merge job returns and the driver adds
+  * once, so a partition that Spark recomputes does not count twice.
   */
 object PhasedAggregation {
 
@@ -248,6 +224,25 @@ object PhasedAggregation {
       case d: DecimalType => row.getDecimal(ord, d.precision, d.scale).toDouble
       case other => throw new IllegalArgumentException(s"unsupported aggregate input type $other")
     }
+
+  /** Replays one data partition's transfers, `moves` as flat (phase, src,
+    * dst) triples in phase order, over `share`, its share at each fragment.
+    * In a phase, arrivals are the senders' shares before it, senders are left
+    * `empty`, and each receiver `t` gets `merge(t, own, arriving)`, arrivals
+    * in ascending source order, so sums do not depend on the plan's order.
+    */
+  def replay[T](moves: Array[Int], share: Array[T], empty: T)(merge: (Int, T, Seq[T]) => T): Unit = {
+    var i = 0
+    while (i < moves.length) {
+      var end = i
+      while (end < moves.length && moves(end) == moves(i)) end += 3
+      val phase = (i until end by 3).map(k => (moves(k + 1), moves(k + 2))).sortBy(_._1)
+      val arriving = phase.map { case (s, t) => t -> share(s) }
+      phase.foreach { case (s, _) => share(s) = empty }
+      arriving.groupBy(_._1).foreach { case (t, in) => share(t) = merge(t, share(t), in.map(_._2)) }
+      i = end
+    }
+  }
 
   /** Runs the phases before it returns; the projection runs when the
     * returned rows `(key, agg1, agg2 …)` are consumed, so no metric times it.
@@ -281,8 +276,9 @@ object PhasedAggregation {
     val keyIsLong = keyType == LongType
     def millisSince(start: Long): Long = NANOSECONDS.toMillis(System.nanoTime() - start)
 
-    // --- 1. local partial aggregation per fragment (Fig. 5 step 2).
-    val local: RDD[FragmentState] = rows.mapPartitions { it =>
+    // --- 1. local partial aggregation per fragment (Fig. 5 step 2): one
+    // table per share.
+    val local: RDD[Array[StateTable]] = rows.mapPartitions { it =>
       val shares = Array.fill(m)(new StateTable(ops, 0))
       val values = new Array[Double](nSpecs)
       it.foreach { row =>
@@ -293,7 +289,7 @@ object PhasedAggregation {
           shares(partitioner.partitionOf(key)).update(key, values)
         }
       }
-      Iterator.single(new FragmentState(shares, 0L, 0L))
+      Iterator.single(shares)
     }
     local.persist(StorageLevel.MEMORY_AND_DISK)
 
@@ -301,48 +297,52 @@ object PhasedAggregation {
     // collected in partition order.
     val hasher = Hasher
     val statsStart = System.nanoTime()
-    val statRows = local.map { f =>
-      (f.shares.map(_.size.toLong), f.shares.map(t => hasher.signature(Iterator.tabulate(t.size)(t.key))))
+    val statRows = local.map { shares =>
+      (shares.map(_.size.toLong), shares.map(t => hasher.signature(Iterator.tabulate(t.size)(t.key))))
     }.collect()
     metrics("statisticsTime").add(millisSince(statsStart))
     val card = statRows.map(_._1)
-    val sigs = statRows.map(_._2)
 
-    // --- 3. planning (steps 3-8 of Fig. 5), and the plan replayed on the
-    // statistics to check that every share ends at its destination.
+    // --- 3. planning (steps 3-8 of Fig. 5), and each partition's transfers
+    // replayed over which fragments hold data: every share must end at its
+    // destination.
     val planStart = System.nanoTime()
-    val aggPlan = plan(PlannerState.fromStats(card, sigs, hasher))
+    val aggPlan = plan(PlannerState.fromStats(card, statRows.map(_._2), hasher))
     metrics("planningTime").add(millisSince(planStart))
     metrics("numPhases").add(aggPlan.numPhases)
-    val replay = PlannerState.fromStats(card, sigs, hasher)
-    aggPlan.transfers.foreach(t => replay.update(t.src, t.dst, t.partition))
-    for (l <- 0 until m; v <- 0 until n if v != mapping(l))
-      require(!replay.hasData(v, l),
-        s"plan incomplete: fragment $v still holds partition $l, whose destination is ${mapping(l)}")
-
-    // --- 4. one narrow merge step per phase, all persisted and materialized
-    // by one job on the last phase, which returns every fragment's totals.
-    // Once it has run, only the last phase stays cached, for the projection.
-    val phasesStart = System.nanoTime()
-    val chain = aggPlan.phases.scanLeft(local) { (prev, phase) =>
-      new MergePhaseRDD(prev, phase, mapping, ops).persist(StorageLevel.MEMORY_AND_DISK)
+    val builders = Array.fill(m)(Array.newBuilder[Int])
+    for ((phase, k) <- aggPlan.phases.zipWithIndex; t <- phase.transfers)
+      builders(t.partition).addAll(Array(k, t.src, t.dst))
+    val moves = builders.map(_.result())
+    for (l <- 0 until m) {
+      val hasData = Array.tabulate(n)(card(_)(l) > 0)
+      replay(moves(l), hasData, false)((_, own, arriving) => own || arriving.contains(true))
+      for (v <- 0 until n if v != mapping(l))
+        require(!hasData(v),
+          s"plan incomplete: fragment $v still holds partition $l, whose destination is ${mapping(l)}")
     }
-    val state = chain.last
-    if (chain.length > 1) {
-      val totals = state.map(f => (f.received, f.receivedIntoDestination)).collect()
+
+    // --- 4. one merge task per data partition, persisted by one job that
+    // returns the tuple counts; then only its result stays cached, for the
+    // projection. With no phases the projection reads the local blocks.
+    val phasesStart = System.nanoTime()
+    val merged = new MergeTreeRDD(local, moves, mapping, ops)
+    if (aggPlan.numPhases > 0) {
+      merged.persist(StorageLevel.MEMORY_AND_DISK)
+      val totals = merged.map(r => (r.received, r.receivedIntoDestination)).collect()
       metrics("tuplesMoved").add(totals.map(_._1).sum)
       metrics("tuplesIntoDestinations").add(totals.map(_._2).sum)
-      chain.init.foreach(_.unpersist(blocking = false))
+      local.unpersist(blocking = false)
     }
     metrics("mergePhasesTime").add(millisSince(phasesStart))
 
     // --- 5. project the destination tables to output rows.
     val outTypes = (keyType +: specs.map(GraspAggregate.resultType)).toArray
     val numOutput = metrics("numOutputRows")
-    state.mapPartitions { it =>
+    merged.mapPartitions { it =>
       val proj = UnsafeProjection.create(outTypes)
       val row = new GenericInternalRow(1 + nSpecs)
-      for (f <- it; t <- f.shares.iterator; e <- Iterator.range(0, t.size)) yield {
+      for (t <- it.map(_.table); e <- Iterator.range(0, t.size)) yield {
         val k = t.key(e)
         if (keyIsLong) row.update(0, k) else row.update(0, k.toInt)
         var i = 0

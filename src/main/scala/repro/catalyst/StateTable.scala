@@ -12,8 +12,8 @@ import java.util.Arrays
   * fragment is dropped as a whole table.
   *
   * Only the code that creates a table calls [[update]] and [[mergeFrom]] on
-  * it; once a table is published in an RDD block it is read-only (see
-  * [[MergePhaseRDD]]).
+  * it; once a table is published in an RDD block it is read-only, so RDD
+  * blocks may share tables (see [[MergeTreeRDD]]).
   */
 final class StateTable(ops: AggStateOps, expectedSize: Int) extends Serializable {
   val width: Int = ops.totalSlots

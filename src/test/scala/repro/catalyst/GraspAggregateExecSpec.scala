@@ -1,10 +1,15 @@
 package repro.catalyst
 
+import java.util.concurrent.ConcurrentHashMap
+
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.SparkEnv
 import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerBlockUpdated}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
+import org.apache.spark.storage.{BlockId, RDDBlockId, StorageLevel}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
@@ -232,53 +237,61 @@ class GraspAggregateExecSpec extends SparkSpec {
     input.unpersist()
   }
 
-  test("a query leaves only its last phase persisted") {
+  /** The merge RDD below `rdd`, found through first dependencies. */
+  private def mergeTree(rdd: RDD[_]): MergeTreeRDD = rdd match {
+    case t: MergeTreeRDD => t
+    case _               => mergeTree(rdd.dependencies.head.rdd)
+  }
+
+  test("a query leaves only its merge result persisted") {
+    val n = 5
     val input = byFragment(
-      intValued(SynthData.overlapFragments(spark, 5, 200, jaccard = 0.5, seed = 12)), 5).persist()
+      intValued(SynthData.overlapFragments(spark, n, 200, jaccard = 0.5, seed = 12)), n).persist()
     input.count()
     val sc = spark.sparkContext
     val persistedBefore = sc.getPersistentRDDs.keySet
     val out = Grasp.aggregate(input, "key", Seq(AggSpec.sum("v", "s")))
     out.collect()
     val phases = findExec(out.queryExecution.executedPlan).get.metrics("numPhases").value
-    assert(phases >= 2, "want intermediate phases to release")
+    assert(phases >= 2, "want a plan with intermediate phases")
     val left = sc.getPersistentRDDs.filter { case (id, _) => !persistedBefore(id) }.values.toSeq
     assert(left.size == 1, s"persisted after the query: $left")
-    // The one left is the end of a chain of `phases` phase RDDs.
-    def phasesBelow(rdd: RDD[_]): Int = rdd match {
-      case p: MergePhaseRDD => 1 + phasesBelow(p.dependencies.head.rdd)
-      case _                => 0
+    left.head match {
+      case t: MergeTreeRDD => assert(t.getNumPartitions == n)
+      case other           => fail(s"persisted after the query: $other, not the merge result")
     }
-    assert(phasesBelow(left.head) == phases)
     left.foreach(_.unpersist(blocking = true))
     input.unpersist()
   }
 
   test("fragment states persisted on disk read back equal tables") {
-    // The spill path: a block of the operator's RDDs written to disk and
-    // read back, as when the memory store evicts a phase's block.
+    // The spill path: blocks of the operator's RDDs, a fragment's local
+    // shares and a merged partition, written to disk and read back, as when
+    // the memory store evicts them.
     val ops = new AggStateOps(Seq(AggSpec.sum("v", "s"), AggSpec.count("c")))
-    def fragment(f: Int): FragmentState = {
-      val shares = Array.tabulate(3) { l =>
-        val t = new StateTable(ops, 0)
-        (0 until 500).foreach(k => t.update(f * 10000L + l * 1000L + k % 400, Array(k.toDouble, 1.0)))
-        t
-      }
-      new FragmentState(shares, received = 10L + f, receivedIntoDestination = f.toLong)
+    def shares(f: Int): Array[StateTable] = Array.tabulate(3) { l =>
+      val t = new StateTable(ops, 0)
+      (0 until 500).foreach(k => t.update(f * 10000L + l * 1000L + k % 400, Array(k.toDouble, 1.0)))
+      t
     }
+    def merged(f: Int) =
+      new MergedPartition(shares(f)(f % 3), received = 10L + f, receivedIntoDestination = f.toLong)
     def entries(t: StateTable) =
       (0 until t.size).map(i => t.key(i) -> t.states.slice(i * t.width, (i + 1) * t.width).toSeq)
-    def contents(s: FragmentState) = (s.received, s.receivedIntoDestination, s.shares.toSeq.map(entries))
-    val sc = spark.sparkContext
-    val onDisk = sc.parallelize(0 until 4, 4).map(fragment).persist(StorageLevel.DISK_ONLY)
-    try {
-      val expected = (0 until 4).map(f => contents(fragment(f)))
-      assert(onDisk.map(contents).collect().toSeq == expected)
-      val stored = sc.getRDDStorageInfo.find(_.id == onDisk.id)
-      assert(stored.exists(i => i.numCachedPartitions == 4 && i.diskSize > 0 && i.memSize == 0), stored)
-      // A second job reads every partition back from its disk block.
-      assert(onDisk.map(contents).collect().toSeq == expected)
-    } finally onDisk.unpersist(blocking = true)
+    def roundTrip[T: scala.reflect.ClassTag](make: Int => T, contents: T => Any): Unit = {
+      val sc = spark.sparkContext
+      val onDisk = sc.parallelize(0 until 4, 4).map(make).persist(StorageLevel.DISK_ONLY)
+      try {
+        val expected = (0 until 4).map(f => contents(make(f)))
+        assert(onDisk.map(contents).collect().toSeq == expected)
+        val stored = sc.getRDDStorageInfo.find(_.id == onDisk.id)
+        assert(stored.exists(i => i.numCachedPartitions == 4 && i.diskSize > 0 && i.memSize == 0), stored)
+        // A second job reads every partition back from its disk block.
+        assert(onDisk.map(contents).collect().toSeq == expected)
+      } finally onDisk.unpersist(blocking = true)
+    }
+    roundTrip[Array[StateTable]](shares, _.toSeq.map(entries))
+    roundTrip[MergedPartition](merged, r => (r.received, r.receivedIntoDestination, entries(r.table)))
   }
 
   test("a deep plan over 64 fragments matches DuckDB") {
@@ -290,21 +303,64 @@ class GraspAggregateExecSpec extends SparkSpec {
     assert(findExec(out.queryExecution.executedPlan).get.metrics("numPhases").value > n)
   }
 
-  test("a task's partition of a 64-fragment plan's last phase serializes to under 1 KB") {
-    val n = 64
-    val df = intValued(SynthData.overlapFragments(spark, n, 200, jaccard = 0.5, seed = 13))
-    val out = Grasp.aggregate(byFragment(df, n), "key", Seq(AggSpec.sum("v", "s")))
-    def lastPhase(rdd: RDD[_]): MergePhaseRDD = rdd match {
-      case p: MergePhaseRDD => p
-      case _                => lastPhase(rdd.dependencies.head.rdd)
-    }
-    val last = lastPhase(out.queryExecution.toRdd)
+  /** The persisted merge RDD of `SUM(v)` over `n` similar fragments, and
+    * the number of transfers in its plan, rebuilt from the same statistics.
+    */
+  private def mergedQuery(n: Int): (MergeTreeRDD, Int) = {
+    val input = byFragment(intValued(SynthData.overlapFragments(spark, n, 200, jaccard = 0.5, seed = 13)), n)
+    val out = Grasp.aggregate(input, "key", Seq(AggSpec.sum("v", "s")))
+    val merged = mergeTree(out.queryExecution.toRdd)
+    val stats = Fragments.collectStats(input, n, KeyPartitioner.Hashed(n), PhasedAggregation.Hasher)
+    val plan = new GraspPlanner(stats, Array.fill(n, n)(1.0), Mapping.allToAll(n), tupleBytes = 16.0).plan()
+    assert(findExec(out.queryExecution.executedPlan).get.metrics("numPhases").value == plan.numPhases)
+    (merged, plan.numTransfers)
+  }
+
+  test("a merge task's partition of a 64-fragment plan serializes to under 1 KB") {
+    val (merged, _) = mergedQuery(64)
     try {
       val serializer = SparkEnv.get.closureSerializer.newInstance()
-      val sizes = last.partitions.map(p => serializer.serialize(p).limit())
-      assert(sizes.length == n)
+      val sizes = merged.partitions.map(p => serializer.serialize(p).limit())
+      assert(sizes.length == 64)
       assert(sizes.max < 1024, s"partition sizes in bytes: ${sizes.distinct.sorted.mkString(", ")}")
-    } finally last.unpersist(blocking = true)
+    } finally merged.unpersist(blocking = true)
+  }
+
+  test("a 64-fragment plan's transfer lists add at most 16 bytes per transfer to the task binary") {
+    val (merged, transfers) = mergedQuery(64)
+    try {
+      val serializer = SparkEnv.get.closureSerializer.newInstance()
+      val local = merged.dependencies.head.rdd
+      val added = serializer.serialize(merged).limit() - serializer.serialize(local).limit()
+      assert(transfers > 64 * 32, s"want a plan with many transfers, got $transfers")
+      assert(added <= 16L * transfers + 4096, s"$added bytes for $transfers transfers")
+    } finally merged.unpersist(blocking = true)
+  }
+
+  test("a 64-fragment merge result is reported at most twice the memory of the local blocks") {
+    val sc = spark.sparkContext
+    val memory = new ConcurrentHashMap[BlockId, java.lang.Long]()
+    val listener = new SparkListener {
+      override def onBlockUpdated(update: SparkListenerBlockUpdated): Unit = {
+        val info = update.blockUpdatedInfo
+        if (info.memSize > 0) memory.merge(info.blockId, info.memSize, (a, b) => math.max(a, b))
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      val (merged, _) = mergedQuery(64)
+      try {
+        // The listener bus is asynchronous: wait for every block's put.
+        def reported(rdd: RDD[_]): Long = eventually(timeout(Span(30, Seconds))) {
+          val sizes = memory.asScala.toSeq.collect { case (RDDBlockId(id, _), size) if id == rdd.id => size.toLong }
+          assert(sizes.size == rdd.getNumPartitions, s"blocks of RDD ${rdd.id} reported so far")
+          sizes.sum
+        }
+        val local = reported(merged.dependencies.head.rdd)
+        val result = reported(merged)
+        assert(result <= 2 * local, s"merge result $result bytes, local blocks $local bytes")
+      } finally merged.unpersist(blocking = true)
+    } finally sc.removeSparkListener(listener)
   }
 
   test("operator composes with downstream operators (filter + order by)") {

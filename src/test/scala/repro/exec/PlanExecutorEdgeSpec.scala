@@ -53,6 +53,34 @@ class PlanExecutorEdgeSpec extends SparkSpec {
     assertMatchesDuck(r.result, df, specs)
   }
 
+  test("arriving tables merge in ascending source order, whatever the plan's order") {
+    import spark.implicits._
+    // One Repart phase into fragment 0, its transfers listed in descending
+    // source order. 1e16 + 1.0 rounds back to 1e16, so the sum reads 0.0
+    // only when fragment 1's value is added before fragment 2's.
+    val df = Seq((0, 7L, 1e16), (1, 7L, 1.0), (2, 7L, -1e16)).toDF("fragment", "key", "v")
+    val repart = AggPlan(Vector(Phase(Vector(Transfer(2, 0, 0), Transfer(1, 0, 0)))))
+    val r = runPlan(df, 3, Seq(AggSpec.sum("v", "s")), KeyPartitioner.Single, Mapping.allToOne(0),
+      _ => repart)
+    val sums = r.result.collect().map(_.getDouble(1))
+    assert(sums.toSeq == Seq((1e16 + 1.0) + -1e16), sums.mkString(", "))
+    assert(sums.head == 0.0)
+  }
+
+  test("a fragment that sends and receives a partition in one phase") {
+    import spark.implicits._
+    val df = (0 until 90).map(i => (i % 3, (i % 11).toLong, (i % 7).toDouble)).toDF("fragment", "key", "v")
+    // Phase 1: fragment 0 sends its share to 1 while it receives 2's, which
+    // it passes on to 1 in phase 2.
+    val plan = AggPlan(Vector(
+      Phase(Vector(Transfer(0, 1, 0), Transfer(2, 0, 0))),
+      Phase(Vector(Transfer(0, 1, 0)))))
+    val specs = Seq(AggSpec.sum("v", "s"), AggSpec.count("n"))
+    val r = runPlan(df, 3, specs, KeyPartitioner.Single, Mapping.allToOne(1), _ => plan)
+    assert(r.phases == 2)
+    assertMatchesDuck(r.result, df, specs)
+  }
+
   test("executor requires at least one aggregate") {
     import spark.implicits._
     val df = Seq((0, 1L, 1.0)).toDF("fragment", "key", "v")
