@@ -3,12 +3,11 @@ package repro.bench
 import java.io.{File, PrintWriter}
 
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.execution.SparkPlan
-import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
 import org.apache.spark.sql.functions.sum
 
 import repro.SparkSpec
-import repro.catalyst.{Grasp, GraspAggregateExec}
+import repro.catalyst.Grasp
+import repro.catalyst.PhasedTestKit.findExec
 import repro.exec.AggSpec
 
 /** The GRASP operator against Spark's native `groupBy` on TPC-H lineitem:
@@ -16,10 +15,12 @@ import repro.exec.AggSpec
   * round-robin repartitioned into p fragments, persisted and counted before
   * any timing, for p in {16, 64, 128, 200}.
   *
-  * One untimed query of each kind warms the JIT; the median of three further
-  * queries of each is recorded, with the operator's per-layer SQL metrics,
-  * its phase and tuple counts, and native's adaptive-execution setting and
-  * shuffle-partition count, on which native time depends. Every GRASP
+  * Three untimed queries of each kind warm the JIT (after only one, the
+  * first p's query times still fell by a quarter or more in later queries);
+  * the median of three further queries of each is recorded, with the
+  * operator's per-layer SQL metrics, its phase and tuple counts, and
+  * native's adaptive-execution setting and shuffle-partition count, on
+  * which native time depends. Every GRASP
   * result must equal native's. The input is the TPC-H sf0.1
   * `lineitem.parquet` file named by `LINEITEM_PARQUET`; without it the suite
   * is cancelled. The results go to `BENCH_operator.json` at the repository
@@ -32,20 +33,13 @@ import repro.exec.AggSpec
 class BenchOperator extends SparkSpec {
   import BenchOperator._
 
-  private def findExec(plan: SparkPlan): Option[GraspAggregateExec] = plan match {
-    case a: AdaptiveSparkPlanExec => findExec(a.executedPlan)
-    case q: QueryStageExec        => findExec(q.plan)
-    case g: GraspAggregateExec    => Some(g)
-    case p                        => p.children.iterator.flatMap(findExec).nextOption()
-  }
-
   private def sums(rows: Array[Row]): Map[Long, Double] =
     rows.iterator.map(r => r.getLong(0) -> r.getDouble(1)).toMap
 
-  /** One GRASP query: wall seconds, the result and the operator's metrics.
-    * The RDD it leaves persisted is released after the timing.
+  /** One GRASP query. The RDD it leaves persisted is released after the
+    * timing.
     */
-  private def grasp(input: DataFrame): (Double, Map[Long, Double], Map[String, Long]) = {
+  private def grasp(input: DataFrame): Query = {
     val sc = spark.sparkContext
     val persistedBefore = sc.getPersistentRDDs.keySet
     val start = System.nanoTime()
@@ -54,29 +48,27 @@ class BenchOperator extends SparkSpec {
     val seconds = (System.nanoTime() - start) / 1e9
     val exec = findExec(out.queryExecution.executedPlan).getOrElse(fail("no GraspAggregateExec"))
     sc.getPersistentRDDs.foreach { case (id, rdd) => if (!persistedBefore(id)) rdd.unpersist(blocking = true) }
-    (seconds, sums(rows), Metrics.map(name => name -> exec.metrics(name).value).toMap)
+    Query(seconds, sums(rows), Metrics.map(name => name -> exec.metrics(name).value).toMap)
   }
 
-  private def native(input: DataFrame): (Double, Map[Long, Double]) = {
+  private def native(input: DataFrame): Query = {
     val start = System.nanoTime()
     val rows = input.groupBy(Key).agg(sum(Value)).collect()
-    ((System.nanoTime() - start) / 1e9, sums(rows))
+    Query((System.nanoTime() - start) / 1e9, sums(rows), Map.empty)
   }
 
   private def measure(lineitem: DataFrame, p: Int): Result = {
     val input = lineitem.repartition(p).persist()
     try {
       input.count()
-      grasp(input)
-      native(input)
+      Seq.fill(WarmUp)((grasp(input), native(input)))
       val runs = Seq.fill(WarmRuns)((grasp(input), native(input)))
-      val expected = runs.head._2._2
-      runs.foreach { case ((_, got, _), (_, want)) => assert(got == want, s"p=$p: GRASP differs from native") }
-      val metrics = runs.map(_._1._3)
+      runs.foreach { case (g, n) => assert(g.sums == n.sums, s"p=$p: GRASP differs from native") }
+      val metrics = runs.map(_._1.metrics)
       Seq("numPhases", "tuplesMoved").foreach { name =>
         assert(metrics.map(_(name)).distinct.size == 1, s"p=$p: $name differs between runs")
       }
-      Result(p, runs.map(_._1._1), runs.map(_._2._1), metrics, expected.size)
+      Result(p, runs.map(_._1.seconds), runs.map(_._2.seconds), metrics, runs.head._2.sums.size)
     } finally input.unpersist(blocking = true)
   }
 
@@ -98,6 +90,7 @@ class BenchOperator extends SparkSpec {
        |  "input": "TPC-H sf0.1 lineitem.parquet, $inputRows rows, repartition(p), persisted",
        |  "nproc": ${Runtime.getRuntime.availableProcessors},
        |  "spark_master": "${spark.sparkContext.master}",
+       |  "warm_up_queries": $WarmUp,
        |  "warm_runs": $WarmRuns,
        |  "native_adaptive_enabled": ${conf.get("spark.sql.adaptive.enabled")},
        |  "native_shuffle_partitions": ${conf.get("spark.sql.shuffle.partitions")},
@@ -122,6 +115,7 @@ class BenchOperator extends SparkSpec {
 
 object BenchOperator {
   private val Sizes = Seq(16, 64, 128, 200)
+  private val WarmUp = 3
   private val WarmRuns = 3
   private val Key = "l_orderkey"
   private val Value = "l_quantity"
@@ -129,6 +123,9 @@ object BenchOperator {
   private val Metrics = TimingMetrics ++ Seq("numPhases", "tuplesMoved")
 
   private def median(xs: Seq[Double]): Double = xs.sorted.apply(xs.size / 2)
+
+  /** One query's wall seconds, its sums by key and, for GRASP, its metrics. */
+  private final case class Query(seconds: Double, sums: Map[Long, Double], metrics: Map[String, Long])
 
   private final case class Result(
       p: Int,

@@ -14,7 +14,7 @@ import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
 import repro.{Oracle, SparkSpec, SynthData}
-import repro.catalyst.PhasedTestKit.{assertMatchesDuck, byFragment}
+import repro.catalyst.PhasedTestKit.{assertMatchesDuck, byFragment, findExec}
 import repro.core.{GraspPlanner, KeyPartitioner, Mapping, PlannerState, Simulator, Topology}
 import repro.exec.{AggSpec, Fragments}
 
@@ -27,15 +27,6 @@ class GraspAggregateExecSpec extends SparkSpec {
 
   private def intValued(df: DataFrame): DataFrame =
     df.withColumn("v", round(col("v") * 100).cast("double"))
-
-  /** Locate the operator, descending through AQE wrappers. */
-  private def findExec(plan: org.apache.spark.sql.execution.SparkPlan): Option[GraspAggregateExec] =
-    plan match {
-      case a: org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec => findExec(a.executedPlan)
-      case q: org.apache.spark.sql.execution.adaptive.QueryStageExec => findExec(q.plan)
-      case g: GraspAggregateExec => Some(g)
-      case p => p.children.iterator.flatMap(findExec).nextOption()
-    }
 
   test("physical plan contains GraspAggregateExec") {
     val df = intValued(SynthData.overlapFragments(spark, 2, 50, jaccard = 0.5, seed = 1))

@@ -2,6 +2,8 @@ package repro.catalyst
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
 import org.apache.spark.sql.execution.metric.SQLMetric
 import org.apache.spark.sql.types.{StructField, StructType}
 
@@ -59,6 +61,14 @@ object PhasedTestKit {
     val rows = out.map(r => Row.fromSeq(types.indices.map(i => r.get(i, types(i)))))
     Result(spark.createDataFrame(rows, schema), metrics("tuplesMoved").value,
       metrics("tuplesIntoDestinations").value, metrics("numPhases").value, metrics)
+  }
+
+  /** The operator in `plan`, found through AQE wrappers. */
+  def findExec(plan: SparkPlan): Option[GraspAggregateExec] = plan match {
+    case a: AdaptiveSparkPlanExec => findExec(a.executedPlan)
+    case q: QueryStageExec        => findExec(q.plan)
+    case g: GraspAggregateExec    => Some(g)
+    case p                        => p.children.iterator.flatMap(findExec).nextOption()
   }
 
   /** DuckDB's `SELECT key, specs FROM r GROUP BY key`, with every aggregate
