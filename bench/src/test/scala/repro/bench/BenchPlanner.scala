@@ -1,6 +1,10 @@
 package repro.bench
 
 import java.io.{File, PrintWriter}
+import java.util.concurrent.Executors
+
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
@@ -13,7 +17,12 @@ import repro.harness.Scenarios
   * draws 20,000 rows from 20,000 keys, on `Topology.colocated(n / 14, 14)`,
   * all-to-all (partitions hashed n ways) and all-to-one (one partition).
   * One untimed plan warms the JIT; the median of three further plans is
-  * recorded. The results go to `BENCH_planner.json` at the repository root:
+  * recorded. One more row, `all-to-all-concurrent` at n = 56, has the shape
+  * of perfbench's fig15-plan: rounds of nproc concurrent plans of the same
+  * statistics, one per thread, each timed on its own; after one untimed
+  * round, the median over three rounds' plans is recorded. Every plan of a
+  * row must equal its first. The results go to `BENCH_planner.json` at the
+  * repository root:
   *
   * {{{
   *   sbt "bench/testOnly repro.bench.BenchPlanner"
@@ -22,22 +31,46 @@ import repro.harness.Scenarios
 class BenchPlanner extends AnyFunSuite {
   import BenchPlanner._
 
-  private def measure(n: Int, allToAll: Boolean): Row = {
+  /** A planner of the uniform statistics at n fragments. */
+  private def planner(n: Int, allToAll: Boolean): () => AggPlan = {
     val raw = LocalGen.uniformDraws(n, RowsPerFrag, KeySpace)
     val part = if (allToAll) KeyPartitioner.Hashed(n) else KeyPartitioner.Single
     val mapping = if (allToAll) Mapping.allToAll(n) else Mapping.allToOne(0)
     val (_, stats) = LocalGen.scenario(raw, part, preAggregated = true, new MinHasher())
     val bandwidth = Topology.colocated(n / 14, 14).bandwidthMatrix
-    def plan(): AggPlan = new GraspPlanner(stats, bandwidth, mapping, Scenarios.TupleBytes).plan()
+    () => new GraspPlanner(stats, bandwidth, mapping, Scenarios.TupleBytes).plan()
+  }
+
+  private def timed(plan: () => AggPlan): (AggPlan, Double) = {
+    val start = System.nanoTime()
+    val p = plan()
+    (p, (System.nanoTime() - start) / 1e9)
+  }
+
+  private def measure(n: Int, allToAll: Boolean): Row = {
+    val plan = planner(n, allToAll)
     val first = plan()
     val runs = Seq.fill(WarmRuns) {
-      val start = System.nanoTime()
-      val p = plan()
-      val seconds = (System.nanoTime() - start) / 1e9
+      val (p, seconds) = timed(plan)
       assert(p == first, s"n=$n: plans differ between runs")
       seconds
     }
     Row(if (allToAll) "all-to-all" else "all-to-one", n, runs, first)
+  }
+
+  private def measureConcurrent(n: Int): Row = {
+    val plan = planner(n, allToAll = true)
+    val first = plan()
+    val pool = Executors.newFixedThreadPool(Clients)
+    implicit val ec: ExecutionContext = ExecutionContext.fromExecutorService(pool)
+    def round(): Seq[(AggPlan, Double)] =
+      Await.result(Future.sequence(Seq.fill(Clients)(Future(timed(plan)))), Duration.Inf)
+    try {
+      round()
+      val runs = Seq.fill(WarmRuns)(round()).flatten
+      runs.foreach { case (p, _) => assert(p == first, s"n=$n: concurrent plans differ") }
+      Row("all-to-all-concurrent", n, runs.map(_._2), first)
+    } finally pool.shutdown()
   }
 
   private def json(rows: Seq[Row]): String = {
@@ -49,8 +82,8 @@ class BenchPlanner extends AnyFunSuite {
     s"""{
        |  "suite": "repro.bench.BenchPlanner",
        |  "command": "sbt \\"bench/testOnly repro.bench.BenchPlanner\\"",
-       |  "measures": "GraspPlanner.plan wall-clock, one thread, statistics prepared outside the timing",
-       |  "nproc": ${Runtime.getRuntime.availableProcessors},
+       |  "measures": "GraspPlanner.plan wall-clock, one thread (all-to-all-concurrent: per plan, nproc concurrent plans), statistics prepared outside the timing",
+       |  "nproc": $Clients,
        |  "warm_runs": $WarmRuns,
        |  "rows_per_fragment": $RowsPerFrag,
        |  "key_space": $KeySpace,
@@ -64,7 +97,8 @@ class BenchPlanner extends AnyFunSuite {
   }
 
   test("GRASP planning time for n in {28, 56, 112, 196}, both mappings") {
-    val rows = for (allToAll <- Seq(true, false); n <- Sizes) yield measure(n, allToAll)
+    val rows = (for (allToAll <- Seq(true, false); n <- Sizes) yield measure(n, allToAll)) :+
+      measureConcurrent(ConcurrentSize)
     rows.foreach(r => assert(r.plan.numTransfers > 0, s"${r.mapping} n=${r.n}: empty plan"))
     val out = new File(Exhibits.repoRoot, "BENCH_planner.json")
     val writer = new PrintWriter(out, "UTF-8")
@@ -82,6 +116,8 @@ object BenchPlanner {
   private val RowsPerFrag = 20000
   private val KeySpace = 20000L
   private val WarmRuns = 3
+  private val ConcurrentSize = 56
+  private val Clients = Runtime.getRuntime.availableProcessors
 
   private final case class Row(mapping: String, n: Int, runs: Seq[Double], plan: AggPlan) {
     def median: Double = runs.sorted.apply(runs.size / 2)

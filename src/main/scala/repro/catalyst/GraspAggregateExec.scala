@@ -294,11 +294,13 @@ object PhasedAggregation {
     local.persist(StorageLevel.MEMORY_AND_DISK)
 
     // --- 2. statistics: cardinality + minhash per (fragment, partition),
-    // collected in partition order.
+    // collected in partition order; a fragment's signatures come back to
+    // back in one array.
     val hasher = Hasher
     val statsStart = System.nanoTime()
     val statRows = local.map { shares =>
-      (shares.map(_.size.toLong), shares.map(t => hasher.signature(Iterator.tabulate(t.size)(t.key))))
+      (shares.map(_.size.toLong),
+        Array.concat(shares.map(t => hasher.signature(Iterator.tabulate(t.size)(t.key))).toIndexedSeq: _*))
     }.collect()
     metrics("statisticsTime").add(millisSince(statsStart))
     val card = statRows.map(_._1)

@@ -12,13 +12,21 @@ package repro.core
   *    signature of the union of the underlying sets.
   *
   * The paper uses n = 100 hash functions so a signature stays under 1 KB;
-  * that is the default here too.
+  * that is the default here too. A component is an `Int`, so a signature
+  * takes 400 bytes. That is exact: every hash lies in [0, `Prime`) and
+  * `Prime` < 2^31, so `toInt` keeps its value, and the empty component,
+  * `Int.MaxValue`, stays above every hash. Equality and minimum, and so
+  * every estimate and union, are those of the hashes themselves.
+  *
+  * Signatures may sit inside a larger array: the offset forms of
+  * [[estimateJaccard]] and [[unionInto]] read `numHashes` components from
+  * each given offset.
   */
 final class MinHasher(val numHashes: Int = MinHasher.PaperHashes, seed: Long = 42L)
     extends Serializable {
   require(numHashes > 0, s"numHashes must be positive, got $numHashes")
 
-  import MinHasher.Prime
+  import MinHasher.{Empty, Prime}
 
   // h_j(x) = (a_j * x + b_j) mod p with a_j in [1, p) and b_j in [0, p).
   // p < 2^31 keeps (a * x + b) inside a Long for x < 2^31; 64-bit keys are
@@ -38,61 +46,84 @@ final class MinHasher(val numHashes: Int = MinHasher.PaperHashes, seed: Long = 4
     mixed & 0x7FFFFFFFL
   }
 
-  /** Value of hash function `j` on key `x`. */
+  /** Value of hash function `j` on key `x`, in [0, `Prime`). */
   @inline def hash(j: Int, x: Long): Long = (as(j) * fold(x) + bs(j)) % Prime
 
   /** Signature of the empty set: every component is "+infinity". */
-  def emptySignature: Array[Long] = Array.fill(numHashes)(Long.MaxValue)
+  def emptySignature: Array[Int] = Array.fill(numHashes)(Empty)
 
-  def isEmptySignature(sig: Array[Long]): Boolean = sig.forall(_ == Long.MaxValue)
+  def isEmptySignature(sig: Array[Int]): Boolean = isEmptyAt(sig, 0)
 
-  /** Fold one key into an existing (mutable) signature. */
-  def add(sig: Array[Long], x: Long): Unit = {
+  /** The signature at `off` in `sigs` is the empty set's. */
+  private def isEmptyAt(sigs: Array[Int], off: Int): Boolean = {
     var j = 0
     while (j < numHashes) {
-      val h = hash(j, x)
+      if (sigs(off + j) != Empty) return false
+      j += 1
+    }
+    true
+  }
+
+  /** Fold one key into an existing (mutable) signature. */
+  def add(sig: Array[Int], x: Long): Unit = {
+    var j = 0
+    while (j < numHashes) {
+      val h = hash(j, x).toInt
       if (h < sig(j)) sig(j) = h
       j += 1
     }
   }
 
   /** Signature of a key set. */
-  def signature(keys: IterableOnce[Long]): Array[Long] = {
+  def signature(keys: IterableOnce[Long]): Array[Int] = {
     val sig = emptySignature
     keys.iterator.foreach(add(sig, _))
     sig
   }
 
   /** Signature of the union: component-wise minimum. Inputs are not mutated. */
-  def union(s1: Array[Long], s2: Array[Long]): Array[Long] = {
+  def union(s1: Array[Int], s2: Array[Int]): Array[Int] = {
     require(s1.length == numHashes && s2.length == numHashes, "signature arity mismatch")
-    val out = new Array[Long](numHashes)
-    var j = 0
-    while (j < numHashes) { out(j) = math.min(s1(j), s2(j)); j += 1 }
+    val out = s1.clone()
+    unionInto(out, 0, s2, 0)
     out
   }
 
-  /** In-place union into `acc`. */
-  def unionInto(acc: Array[Long], other: Array[Long]): Unit = {
+  /** In-place union of the signature at `otherOff` in `other` into the one
+    * at `accOff` in `acc`.
+    */
+  def unionInto(acc: Array[Int], accOff: Int, other: Array[Int], otherOff: Int): Unit = {
     var j = 0
-    while (j < numHashes) { if (other(j) < acc(j)) acc(j) = other(j); j += 1 }
+    while (j < numHashes) {
+      val x = other(otherOff + j)
+      if (x < acc(accOff + j)) acc(accOff + j) = x
+      j += 1
+    }
   }
 
   /** Estimated Jaccard similarity: fraction of agreeing components (Fig. 6).
     * Two empty sets are defined to have similarity 0 so that
-    * ESTCARD(∅, ∅) = 0. The count loop has no other test in it, so it
-    * compiles branch-free; both signatures are empty only if every
-    * component agrees, so emptiness is checked only then.
+    * ESTCARD(∅, ∅) = 0.
     */
-  def estimateJaccard(s1: Array[Long], s2: Array[Long]): Double = {
+  def estimateJaccard(s1: Array[Int], s2: Array[Int]): Double = {
     require(s1.length == numHashes && s2.length == numHashes, "signature arity mismatch")
-    var agree = 0
+    estimateJaccard(s1, 0, s2, 0)
+  }
+
+  /** [[estimateJaccard]] of the signatures at `aOff` in `a` and `bOff` in
+    * `b`. The count has no branch: `(d | -d) >>> 31` is 1 exactly when the
+    * components differ. Both signatures are empty only if every component
+    * agrees, so emptiness is checked only then.
+    */
+  def estimateJaccard(a: Array[Int], aOff: Int, b: Array[Int], bOff: Int): Double = {
+    var differ = 0
     var j = 0
     while (j < numHashes) {
-      if (s1(j) == s2(j)) agree += 1
+      val d = a(aOff + j) ^ b(bOff + j)
+      differ += (d | -d) >>> 31
       j += 1
     }
-    if (agree == numHashes && isEmptySignature(s1)) 0.0 else agree.toDouble / numHashes
+    if (differ == 0 && isEmptyAt(a, aOff)) 0.0 else (numHashes - differ).toDouble / numHashes
   }
 }
 
@@ -102,4 +133,10 @@ object MinHasher {
 
   /** Largest prime below 2^31; the hash domain. */
   val Prime: Long = 2147483629L
+
+  /** The empty set's component, above every hash. */
+  val Empty: Int = Int.MaxValue
+
+  // Components are stored as Ints: every hash must fit below the empty one.
+  require(Prime < Int.MaxValue, s"hash domain $Prime does not fit below the empty component")
 }

@@ -111,7 +111,7 @@ class GraspPlannerEdgeSpec extends AnyFunSuite {
     // bandwidth matrix is the same array.
     val tiny = new MinHasher(numHashes = 1, seed = 1)
     def stats(n: Int, m: Int) =
-      PlannerState.fromStats(Array.fill(n, m)(1L), Array.fill(n, m)(tiny.emptySignature), tiny)
+      PlannerState.fromStats(Array.fill(n, m)(1L), Array.fill(n, m)(MinHasher.Empty), tiny)
     def bandwidth(n: Int) = { val row = Array.fill(n)(1.0); Array.fill(n)(row) }
     val threads = java.lang.management.ManagementFactory.getThreadMXBean
       .asInstanceOf[com.sun.management.ThreadMXBean]

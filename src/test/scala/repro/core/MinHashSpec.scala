@@ -12,7 +12,7 @@ class MinHashSpec extends AnyFunSuite with PropChecks {
   test("empty signature is all-MaxValue and recognized as empty") {
     val sig = hasher.emptySignature
     assert(sig.length == 100)
-    assert(sig.forall(_ == Long.MaxValue))
+    assert(sig.forall(_ == Int.MaxValue))
     assert(hasher.isEmptySignature(sig))
   }
 
@@ -53,7 +53,7 @@ class MinHashSpec extends AnyFunSuite with PropChecks {
     val acc = hasher.signature(1L to 10L)
     val other = hasher.signature(5L to 20L)
     val expect = hasher.union(acc, other)
-    hasher.unionInto(acc, other)
+    hasher.unionInto(acc, 0, other, 0)
     assert(acc.sameElements(expect))
   }
 
@@ -103,7 +103,7 @@ class MinHashSpec extends AnyFunSuite with PropChecks {
   /** The agreement count that tested every agreeing component for
     * emptiness, as the oracle of the branch-free one.
     */
-  private def perComponentEstimate(s1: Array[Long], s2: Array[Long]): Double = {
+  private def perComponentEstimate(s1: Array[Int], s2: Array[Int]): Double = {
     var agree = 0
     var agreeEmpty = 0
     var j = 0
@@ -111,7 +111,7 @@ class MinHashSpec extends AnyFunSuite with PropChecks {
       val h = s1(j)
       if (h == s2(j)) {
         agree += 1
-        if (h == Long.MaxValue) agreeEmpty += 1
+        if (h == Int.MaxValue) agreeEmpty += 1
       }
       j += 1
     }
@@ -122,7 +122,7 @@ class MinHashSpec extends AnyFunSuite with PropChecks {
     val small = new MinHasher(numHashes = 8, seed = 1)
     // Few distinct values, a quarter of them "+infinity", so that partial
     // and full agreement, on values and on empty components, are common.
-    val component = Gen.frequency(3 -> Gen.chooseNum(0L, 3L), 1 -> Gen.const(Long.MaxValue))
+    val component = Gen.frequency(3 -> Gen.chooseNum(0, 3), 1 -> Gen.const(Int.MaxValue))
     val sig = Gen.listOfN(small.numHashes, component).map(_.toArray)
     val empty = Gen.delay(Gen.const(small.emptySignature))
     val pair = Gen.oneOf(
@@ -143,6 +143,34 @@ class MinHashSpec extends AnyFunSuite with PropChecks {
       assert(hasher.estimateJaccard(a, b) == perComponentEstimate(a, b))
       assert(hasher.estimateJaccard(a, a.clone()) == perComponentEstimate(a, a))
     }
+  }
+
+  test("property: component j is the minimum over the keys of (a_j·fold(x) + b_j) mod Prime") {
+    val small = new MinHasher(numHashes = 16, seed = 7)
+    forAllSampled(Gen.listOf(Gen.long)) { keys =>
+      val sig = small.signature(keys)
+      for (j <- 0 until small.numHashes) {
+        // The definition, computed in Long from the hash family's parameters.
+        val expect = keys.map(x => (small.as(j) * small.fold(x) + small.bs(j)) % MinHasher.Prime)
+          .minOption.getOrElse(Long.MaxValue)
+        if (keys.isEmpty) assert(sig(j) == Int.MaxValue)
+        else assert(sig(j).toLong == expect, s"component $j of ${keys.mkString(",")}")
+      }
+    }
+    // The empty component is above every hash.
+    assert(MinHasher.Empty.toLong > MinHasher.Prime - 1)
+    forAllSampled(Gen.long)(x => assert((0 until 16).forall(j => hasher.hash(j, x) < MinHasher.Empty)))
+  }
+
+  test("the offset forms read the signatures at their offsets") {
+    val (a, b) = (hasher.signature(1L to 300L), hasher.signature(200L to 500L))
+    val packed = Array.concat(hasher.emptySignature, a, b)
+    val k = hasher.numHashes
+    assert(hasher.estimateJaccard(packed, k, packed, 2 * k) == hasher.estimateJaccard(a, b))
+    assert(hasher.estimateJaccard(packed, 0, packed, 0) == 0.0)
+    hasher.unionInto(packed, k, packed, 2 * k)
+    assert(packed.slice(k, 2 * k).sameElements(hasher.union(a, b)))
+    assert(packed.take(k).sameElements(hasher.emptySignature) && packed.drop(2 * k).sameElements(b))
   }
 
   test("property: union signature is commutative and associative") {

@@ -89,17 +89,23 @@ class PlannerStateSpec extends AnyFunSuite {
 
   test("fromStats round-trips cardinalities and signatures") {
     val card = Array(Array(5L), Array(7L))
-    val sigs = Array(Array(hasher.signature(1L to 5L)), Array(hasher.signature(10L to 16L)))
+    val sigs = Array(hasher.signature(1L to 5L), hasher.signature(10L to 16L))
     val st = PlannerState.fromStats(card, sigs, hasher)
     assert(st.cardinality(0, 0) == 5 && st.cardinality(1, 0) == 7)
-    assert(st.signature(0, 0).sameElements(sigs(0)(0)))
+    assert(st.signature(0, 0).sameElements(sigs(0)))
   }
 
   test("ragged stats arrays are rejected") {
     intercept[IllegalArgumentException] {
       PlannerState.fromStats(
         Array(Array(1L), Array(1L, 2L)),
-        Array(Array(hasher.emptySignature), Array(hasher.emptySignature)),
+        Array(hasher.emptySignature, hasher.emptySignature),
+        hasher)
+    }
+    intercept[IllegalArgumentException] {
+      PlannerState.fromStats(
+        Array(Array(1L, 2L), Array(1L, 2L)),
+        Array(Array.concat(hasher.emptySignature, hasher.emptySignature), hasher.emptySignature),
         hasher)
     }
   }

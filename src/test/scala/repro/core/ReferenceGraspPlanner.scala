@@ -14,13 +14,15 @@ import scala.collection.mutable.ArrayBuffer
   *  - `COST(s → t) + ESTCARD(s,t,l)·w / B(s→t)` otherwise — the one-phase
   *    lookahead that prices the re-transmission of the merged result.
   *
-  * The planner mutates only a private copy of the statistics; it returns the
+  * The planner mutates only its own copy of the statistics; it returns the
   * phased plan plus the cost matrix of the first phase (for tests against
   * the paper's Fig. 7 example).
   *
   * Test-scope oracle: the direct transcription of Algorithm 2, which rescans
-  * every candidate for every pick. [[GraspPlanner]] must return the same
-  * plans.
+  * every candidate for every pick, over its own nested `Card`/`MinH` arrays
+  * and its own transcription of Algorithm 1, so it shares no statistics code
+  * with [[PlannerState]] past reading the input. [[GraspPlanner]] must
+  * return the same plans.
   */
 final class ReferenceGraspPlanner(
     stats: PlannerState,
@@ -34,7 +36,41 @@ final class ReferenceGraspPlanner(
 
   private val n = stats.nFragments
   private val m = stats.numPartitions
-  private val state = stats.copy()
+  private val k = stats.hasher.numHashes
+
+  // The oracle's own Card and MinH, nested [v][l] and `Long`, read once from
+  // `stats`; the empty component is Long.MaxValue. Nothing below reads
+  // `stats` again, so a fault in PlannerState's layout after its
+  // construction cannot hide here.
+  private val card: Array[Array[Long]] = Array.tabulate(n, m)(stats.cardinality)
+  private val minH: Array[Array[Array[Long]]] = Array.tabulate(n, m) { (v, l) =>
+    stats.signature(v, l).map(c => if (c == Int.MaxValue) Long.MaxValue else c.toLong)
+  }
+
+  private def hasData(v: Int, l: Int): Boolean = card(v)(l) > 0
+
+  /** Fig. 6: the fraction of agreeing components; 0 for two empty sets. */
+  private def estJaccard(s: Int, t: Int, l: Int): Double = {
+    val (a, b) = (minH(s)(l), minH(t)(l))
+    val agree = (0 until k).count(j => a(j) == b(j))
+    if (a.forall(_ == Long.MaxValue) && b.forall(_ == Long.MaxValue)) 0.0 else agree.toDouble / k
+  }
+
+  /** ESTCARD(s, t, l) — Algorithm 1: (|S| + |T|) / (1 + J), rounded. */
+  private def estCard(s: Int, t: Int, l: Int): Long =
+    math.round((card(s)(l) + card(t)(l)).toDouble / (1.0 + estJaccard(s, t, l)))
+
+  /** UPDATE(s, t, l) — Algorithm 1: t holds the union, s nothing. */
+  private def update(s: Int, t: Int, l: Int): Unit = {
+    card(t)(l) = estCard(s, t, l)
+    card(s)(l) = 0L
+    minH(t)(l) = Array.tabulate(k)(j => math.min(minH(s)(l)(j), minH(t)(l)(j)))
+    minH(s)(l) = Array.fill(k)(Long.MaxValue)
+  }
+
+  /** Eq. 2 / Eq. 7: every share is at its partition's destination. */
+  private def done: Boolean =
+    (0 until m).forall(l => (0 until n).forall(v => v == mapping(l) || !hasData(v, l)))
 
   // Memoized Jaccard estimates per (l, s, t). Signature comparison is
   // O(numHashes) and sits inside the Algorithm 2 argmin loop, so it is
@@ -46,7 +82,7 @@ final class ReferenceGraspPlanner(
     val cached = jCache(l)(s)(t)
     if (!cached.isNaN) cached
     else {
-      val j = state.estJaccard(s, t, l)
+      val j = estJaccard(s, t, l)
       jCache(l)(s)(t) = j
       jCache(l)(t)(s) = j
       j
@@ -60,18 +96,18 @@ final class ReferenceGraspPlanner(
   }
 
   private def applyUpdate(s: Int, t: Int, l: Int): Unit = {
-    state.update(s, t, l)
+    update(s, t, l)
     invalidate(s, l)
     invalidate(t, l)
   }
 
-  /** ESTCARD(s, t, l) through the Jaccard cache. */
+  /** ESTCARD through the Jaccard cache, unrounded as in Eq. 8. */
   private def estCardCached(s: Int, t: Int, l: Int): Double =
-    (state.cardinality(s, l) + state.cardinality(t, l)).toDouble / (1.0 + jaccard(s, t, l))
+    (card(s)(l) + card(t)(l)).toDouble / (1.0 + jaccard(s, t, l))
 
   /** COST(s → t) of shipping fragment s's share of partition l (Eq. 5). */
   private def transferCost(s: Int, t: Int, l: Int): Double =
-    state.cardinality(s, l) * tupleBytes / bandwidth(s)(t)
+    card(s)(l) * tupleBytes / bandwidth(s)(t)
 
   /** Eq. 8. `Double.PositiveInfinity` encodes the ∞ penalties. Transfers to
     * an empty receiver are only allowed when the receiver is the final
@@ -80,8 +116,8 @@ final class ReferenceGraspPlanner(
   def cost(s: Int, t: Int, l: Int): Double = {
     if (s == t) return Double.PositiveInfinity
     if (s == mapping(l)) return Double.PositiveInfinity
-    if (!state.hasData(s, l)) return Double.PositiveInfinity
-    if (!state.hasData(t, l) && t != mapping(l)) return Double.PositiveInfinity
+    if (!hasData(s, l)) return Double.PositiveInfinity
+    if (!hasData(t, l) && t != mapping(l)) return Double.PositiveInfinity
     if (t == mapping(l)) transferCost(s, t, l)
     else transferCost(s, t, l) + estCardCached(s, t, l) * tupleBytes / bandwidth(s)(t)
   }
@@ -115,7 +151,7 @@ final class ReferenceGraspPlanner(
       while (l < m) {
         var s = 0
         while (s < n) {
-          if (vSend(s) && vPart(l)(s) && state.hasData(s, l) && s != mapping(l)) {
+          if (vSend(s) && vPart(l)(s) && hasData(s, l) && s != mapping(l)) {
             var t = 0
             while (t < n) {
               if (t != s && vRecv(t) && vPart(l)(t)) {
@@ -150,7 +186,7 @@ final class ReferenceGraspPlanner(
     // its destination, so the total number of shares strictly decreases each
     // phase; n*m + 1 phases is a safe upper bound.
     val maxPhases = n * m + 1
-    while (!state.done(mapping)) {
+    while (!done) {
       val phase = selectPhase()
       require(phase.transfers.nonEmpty,
         s"GRASP stalled: no viable transfer but aggregation incomplete (phase $guard)")
