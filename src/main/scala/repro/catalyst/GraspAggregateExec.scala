@@ -156,11 +156,12 @@ final class MergeTreeRDD(
     }
     var received = 0L
     var intoDestination = 0L
-    PhasedAggregation.replay(moves(l), share, new StateTable(ops, 0)) { (t, own, arriving) =>
-      val tuples = arriving.map(_.size.toLong).sum
-      received += tuples
-      if (t == dest) intoDestination += tuples
-      StateTable.union(ops, own +: arriving)
+    PhasedAggregation.replay(l, moves(l), share, new StateTable(ops, 0))(_.size > 0) {
+      (t, own, arriving) =>
+        val tuples = arriving.map(_.size.toLong).sum
+        received += tuples
+        if (t == dest) intoDestination += tuples
+        StateTable.union(ops, own +: arriving)
     }
     Iterator.single(new MergedPartition(share(dest), received, intoDestination))
   }
@@ -181,7 +182,7 @@ private object MergeTreeRDD {
   *   2. per-(fragment, partition) cardinality + minhash statistics,
   *      collected to the driver (step 2–3 of Fig. 5);
   *   3. `plan` over those statistics (steps 4–8), replayed over which shares
-  *      hold data, to check that every share ends at its destination (Eq. 7);
+  *      hold data, to check it by Eq. 6 and Eq. 7 ([[AggPlan]]);
   *   4. one [[MergeTreeRDD]] (step 9), whose task `l` runs partition `l`'s
   *      transfers, persisted by one job;
   *   5. projection of the destination tables to unsafe rows.
@@ -197,9 +198,6 @@ private object MergeTreeRDD {
   * once, so a partition that Spark recomputes does not count twice.
   */
 object PhasedAggregation {
-
-  /** The paper's 100-hash minhash family, used for the statistics. */
-  val Hasher: MinHasher = new MinHasher(MinHasher.PaperHashes, seed = 42)
 
   /** The SQL metrics [[execute]] updates, by name. */
   def metrics(sc: SparkContext): Map[String, SQLMetric] = Map(
@@ -225,21 +223,18 @@ object PhasedAggregation {
       case other => throw new IllegalArgumentException(s"unsupported aggregate input type $other")
     }
 
-  /** Replays one data partition's transfers, `moves` as flat (phase, src,
-    * dst) triples in phase order, over `share`, its share at each fragment.
-    * In a phase, arrivals are the senders' shares before it, senders are left
-    * `empty`, and each receiver `t` gets `merge(t, own, arriving)`, arrivals
-    * in ascending source order, so sums do not depend on the plan's order.
+  /** Replays data partition `l`'s transfers, `moves` as flat (phase, src,
+    * dst) triples in phase order, over `share`, its share at each fragment,
+    * one phase at a time through [[AggPlan.applyPhase]].
     */
-  def replay[T](moves: Array[Int], share: Array[T], empty: T)(merge: (Int, T, Seq[T]) => T): Unit = {
+  def replay[T](l: Int, moves: Array[Int], share: Array[T], empty: T)(holds: T => Boolean)(
+      merge: (Int, T, Seq[T]) => T): Unit = {
     var i = 0
     while (i < moves.length) {
       var end = i
       while (end < moves.length && moves(end) == moves(i)) end += 3
-      val phase = (i until end by 3).map(k => (moves(k + 1), moves(k + 2))).sortBy(_._1)
-      val arriving = phase.map { case (s, t) => t -> share(s) }
-      phase.foreach { case (s, _) => share(s) = empty }
-      arriving.groupBy(_._1).foreach { case (t, in) => share(t) = merge(t, share(t), in.map(_._2)) }
+      val phase = (i until end by 3).map(k => (moves(k + 1), moves(k + 2)))
+      AggPlan.applyPhase(l, phase, share, empty)(holds)(merge)
       i = end
     }
   }
@@ -296,7 +291,7 @@ object PhasedAggregation {
     // --- 2. statistics: cardinality + minhash per (fragment, partition),
     // collected in partition order; a fragment's signatures come back to
     // back in one array.
-    val hasher = Hasher
+    val hasher = new MinHasher()
     val statsStart = System.nanoTime()
     val statRows = local.map { shares =>
       (shares.map(_.size.toLong),
@@ -306,8 +301,8 @@ object PhasedAggregation {
     val card = statRows.map(_._1)
 
     // --- 3. planning (steps 3-8 of Fig. 5), and each partition's transfers
-    // replayed over which fragments hold data: every share must end at its
-    // destination.
+    // replayed over which fragments hold data, so the plan is checked by the
+    // simulator's rule.
     val planStart = System.nanoTime()
     val aggPlan = plan(PlannerState.fromStats(card, statRows.map(_._2), hasher))
     metrics("planningTime").add(millisSince(planStart))
@@ -316,13 +311,9 @@ object PhasedAggregation {
     for ((phase, k) <- aggPlan.phases.zipWithIndex; t <- phase.transfers)
       builders(t.partition).addAll(Array(k, t.src, t.dst))
     val moves = builders.map(_.result())
-    for (l <- 0 until m) {
-      val hasData = Array.tabulate(n)(card(_)(l) > 0)
-      replay(moves(l), hasData, false)((_, own, arriving) => own || arriving.contains(true))
-      for (v <- 0 until n if v != mapping(l))
-        require(!hasData(v),
-          s"plan incomplete: fragment $v still holds partition $l, whose destination is ${mapping(l)}")
-    }
+    val hasData = Array.tabulate(m, n)((l, v) => card(v)(l) > 0)
+    for (l <- 0 until m) replay(l, moves(l), hasData(l), false)(identity)((_, _, _) => true)
+    AggPlan.requireComplete(n, mapping)((v, l) => hasData(l)(v))
 
     // --- 4. one merge task per data partition, persisted by one job that
     // returns the tuple counts; then only its result stays cached, for the

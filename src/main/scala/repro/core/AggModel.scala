@@ -16,10 +16,10 @@ final case class Phase(transfers: Vector[Transfer]) {
   def size: Int = transfers.size
 
   /** §3.5 invariant for GRASP-produced phases: one node sends to at most one
-    * node and receives from at most one node; no node both sends and
-    * receives the same partition. Baseline plans (Repart, LOOM levels) may
-    * violate the receive side on purpose — the simulator charges shared
-    * links for it (Eq. 9).
+    * node and receives from at most one node. Baseline plans (Repart, LOOM
+    * levels) may violate the receive side on purpose — the simulator charges
+    * shared links for it (Eq. 9). That no node both sends and receives the
+    * same partition is every plan's rule ([[AggPlan.applyPhase]]).
     */
   def sendersDistinct: Boolean = transfers.map(_.src).distinct.size == transfers.size
   def receiversDistinct: Boolean = transfers.map(_.dst).distinct.size == transfers.size
@@ -29,6 +29,48 @@ final case class AggPlan(phases: Vector[Phase]) {
   def numPhases: Int = phases.size
   def numTransfers: Int = phases.iterator.map(_.size).sum
   def transfers: Iterator[Transfer] = phases.iterator.flatMap(_.transfers)
+}
+
+/** What a phase does to the shares (Eq. 1 / Eq. 6) and when a plan is done
+  * (Eq. 2 / Eq. 7): the one definition of a valid plan, for the simulator,
+  * the operator and the planner alike.
+  */
+object AggPlan {
+
+  /** Applies one phase's transfers of partition `l`, `moves` as (src, dst)
+    * pairs, to `share`, l's share at each fragment. Every sender must hold
+    * data, send once and not receive in the phase. Each receiver `t` gets
+    * `merge(t, own, arriving)`, arrivals in ascending source order, so sums
+    * do not depend on the plan's order; senders are left `empty`.
+    */
+  def applyPhase[T](l: Int, moves: Seq[(Int, Int)], share: Array[T], empty: T)(holds: T => Boolean)(
+      merge: (Int, T, Seq[T]) => T): Unit = {
+    val senders = moves.map(_._1).toSet
+    val sent = scala.collection.mutable.Set.empty[Int]
+    for ((s, t) <- moves) {
+      val tr = Transfer(s, t, l)
+      require(holds(share(s)), s"$tr: sender share is empty")
+      require(sent.add(s), s"$tr: share already sent in the same phase")
+      require(!senders(t), s"$tr: receiver also sends partition $l in the same phase")
+    }
+    moves.sortBy(_._1).groupBy(_._2).foreach { case (t, in) =>
+      share(t) = merge(t, share(t), in.map(m => share(m._1)))
+    }
+    moves.foreach { case (s, _) => share(s) = empty }
+  }
+
+  /** The first share, as (fragment, partition), that `holds` data away from
+    * its destination; none once the plan is complete.
+    */
+  def stray(nFragments: Int, mapping: Mapping)(holds: (Int, Int) => Boolean): Option[(Int, Int)] =
+    (0 until mapping.numPartitions).iterator
+      .flatMap(l => (0 until nFragments).iterator.filter(v => v != mapping(l) && holds(v, l)).map((_, l)))
+      .nextOption()
+
+  /** Rejects the plan when [[stray]] finds a share. */
+  def requireComplete(nFragments: Int, mapping: Mapping)(holds: (Int, Int) => Boolean): Unit =
+    for ((v, l) <- stray(nFragments, mapping)(holds)) throw new IllegalArgumentException(
+      s"plan incomplete: fragment $v still holds partition $l, whose destination is ${mapping(l)}")
 }
 
 /** The all-to-all destination mapping `M : L → V_C` (§2.2).

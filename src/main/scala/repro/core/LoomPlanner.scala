@@ -93,16 +93,18 @@ final class LoomPlanner(
   }
 
   /** Serialize the tree into depth-ordered phases: the deepest level sends
-    * first, every node sends exactly once, and every node has already
-    * received all its children when it sends.
+    * first, every node whose subtree `holds` data sends exactly once, and
+    * every node has already received all its children when it sends.
     */
-  def plan(fanIn: Int = chooseFanIn()): AggPlan = {
+  def plan(fanIn: Int = chooseFanIn(), holds: Int => Boolean = _ => true): AggPlan = {
     val parent = buildParents(fanIn)
     val depth = depthsOf(parent)
     val maxDepth = depth.max
+    val live = Array.tabulate(n)(holds)
+    for (i <- (0 until n).sortBy(depth).reverse if i != dest && live(i)) live(parent(i)) = true
     val phases =
       for (d <- (maxDepth to 1 by -1).toVector) yield Phase(
-        (0 until n).filter(i => i != dest && depth(i) == d).map { i =>
+        (0 until n).filter(i => i != dest && depth(i) == d && live(i)).map { i =>
           Transfer(i, parent(i), 0)
         }.toVector
       )
@@ -127,6 +129,7 @@ object LoomPlanner {
     require(stats.numPartitions == 1, "LOOM only works for all-to-one aggregations")
     val cards = (0 until stats.nFragments).map(v => stats.cardinality(v, 0).toDouble)
     val leaf = math.max(1.0, cards.sum / cards.count(_ > 0).max(1))
-    new LoomPlanner(topo, dest, leaf, rootCard.toDouble.max(1.0), tupleBytes).plan()
+    new LoomPlanner(topo, dest, leaf, rootCard.toDouble.max(1.0), tupleBytes)
+      .plan(holds = stats.hasData(_, 0))
   }
 }

@@ -56,26 +56,8 @@ final class PlannerState private (
     Arrays.fill(sigs, sOff, sOff + k, MinHasher.Empty)
   }
 
-  /** True when partition `l` has been fully aggregated to `dest`:
-    * every other fragment's share is empty (Eq. 2 / Eq. 7).
-    */
-  def partitionDone(l: Int, dest: Int): Boolean = {
-    var v = 0
-    while (v < nFragments) {
-      if (v != dest && hasData(v, l)) return false
-      v += 1
-    }
-    true
-  }
-
-  def done(mapping: Mapping): Boolean = {
-    var l = 0
-    while (l < numPartitions) {
-      if (!partitionDone(l, mapping(l))) return false
-      l += 1
-    }
-    true
-  }
+  /** True when every share sits at its destination (Eq. 2 / Eq. 7). */
+  def done(mapping: Mapping): Boolean = AggPlan.stray(nFragments, mapping)(hasData).isEmpty
 
   /** Deep copy, so planning never mutates the caller's statistics. */
   def copy(): PlannerState =

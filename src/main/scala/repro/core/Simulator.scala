@@ -8,10 +8,14 @@ package repro.core
   * algorithms start aggregated, a Repart share only becomes aggregated when
   * it is merged at a receiver.
   */
-final class Share(var keys: Array[Long], var rawCount: Long, var aggregated: Boolean) {
+final case class Share(keys: Array[Long], rawCount: Long, aggregated: Boolean) {
   def tuples: Long = if (aggregated) keys.length.toLong else rawCount
   def isEmpty: Boolean = keys.isEmpty && rawCount == 0
-  def copy(): Share = new Share(keys, rawCount, aggregated)
+}
+
+object Share {
+  /** A sender's share after its transfer. */
+  val Empty: Share = Share(KeySet.empty, 0L, aggregated = true)
 }
 
 /** Exact per-(fragment, partition) data of the whole cluster. */
@@ -19,13 +23,12 @@ final class ClusterData(val shares: Array[Array[Share]]) {
   val nFragments: Int = shares.length
   val numPartitions: Int = if (shares.isEmpty) 0 else shares(0).length
   def apply(v: Int, l: Int): Share = shares(v)(l)
-  def copy(): ClusterData = new ClusterData(shares.map(_.map(_.copy())))
 
   /** Same data viewed with/without local pre-aggregation — Repart ships raw
     * tuples, every other algorithm ships the locally aggregated result.
     */
   def asPreAggregated(flag: Boolean): ClusterData =
-    new ClusterData(shares.map(_.map(s => new Share(s.keys, s.rawCount, flag))))
+    new ClusterData(shares.map(_.map(_.copy(aggregated = flag))))
 
   /** Exact key sets, for building `PlannerState` ground-truth statistics. */
   def keySets: Array[Array[Array[Long]]] = shares.map(_.map(_.keys))
@@ -82,12 +85,14 @@ final class Simulator(
     compute: Option[ComputeModel] = None,
 ) {
 
-  /** Simulate `plan` over (a private copy of) `data`. */
+  /** Simulate `plan` over `data`, each phase priced from the shares as they
+    * stand before it and then applied by [[AggPlan.applyPhase]].
+    */
   def run(plan: AggPlan, data: ClusterData, mapping: Mapping): SimResult = {
     require(data.nFragments == topo.nFragments, "data/topology fragment mismatch")
     require(data.numPartitions == mapping.numPartitions, "data/mapping partition mismatch")
-    val state = data.copy()
-    val n = state.nFragments
+    val n = data.nFragments
+    val state = Array.tabulate(data.numPartitions, n)((l, v) => data(v, l))
     val tuplesReceived = new Array[Long](n)
     var tuplesIntoDest = 0L
 
@@ -95,62 +100,46 @@ final class Simulator(
     // cost only; shares already carry their aggregated flag.
     val preAggSeconds = compute match {
       case Some(cm) =>
-        val anyPre = state.shares.iterator.flatten.exists(s => s.aggregated && s.rawCount > 0)
+        val anyPre = data.shares.iterator.flatten.exists(s => s.aggregated && s.rawCount > 0)
         if (!anyPre) 0.0
         else (0 until n).iterator.map { v =>
-          state.shares(v).iterator.filter(_.aggregated).map(_.rawCount).sum * tupleBytes / cm.aggRawBw
+          data.shares(v).iterator.filter(_.aggregated).map(_.rawCount).sum * tupleBytes / cm.aggRawBw
         }.foldLeft(0.0)(math.max)
       case None => 0.0
     }
 
     val phaseSeconds = plan.phases.map { phase =>
-      // --- validity: a fragment never sends and receives the same partition
-      // in one phase, and every sender has data.
-      val sentPartitions = phase.transfers.map(t => (t.src, t.partition)).toSet
-      phase.transfers.foreach { tr =>
-        require(!sentPartitions.contains((tr.dst, tr.partition)),
-          s"$tr: receiver also sends partition ${tr.partition} in the same phase")
-        require(!state(tr.src, tr.partition).isEmpty, s"$tr: sender share is empty")
-      }
+      val moved = phase.transfers.map(tr => tr -> state(tr.partition)(tr.src))
 
       // --- network: fluid makespan over NIC and intra-machine resources.
-      val moved = phase.transfers.map(tr => tr -> state(tr.src, tr.partition).tuples)
       val netSeconds = topo.phaseNetworkSeconds(
-        moved.map { case (tr, tuples) => (tr.src, tr.dst, tuples * tupleBytes) })
+        moved.map { case (tr, sh) => (tr.src, tr.dst, sh.tuples * tupleBytes) })
 
       // --- compute: receivers fold arrivals into their hash tables.
       val computeSeconds = compute match {
         case Some(cm) =>
           moved.groupBy(_._1.dst).values.iterator.map { trs =>
-            trs.iterator.map { case (tr, tuples) =>
-              val bw = if (state(tr.src, tr.partition).aggregated) cm.aggPreBw else cm.aggRawBw
-              tuples * tupleBytes / bw
+            trs.iterator.map { case (_, sh) =>
+              sh.tuples * tupleBytes / (if (sh.aggregated) cm.aggPreBw else cm.aggRawBw)
             }.sum
           }.foldLeft(0.0)(math.max)
         case None => 0.0
       }
 
-      // --- apply the transfers (Eq. 1 / Eq. 6).
-      moved.foreach { case (tr, tuples) =>
-        val src = state(tr.src, tr.partition)
-        val dst = state(tr.dst, tr.partition)
-        tuplesReceived(tr.dst) += tuples
-        if (tr.dst == mapping(tr.partition)) tuplesIntoDest += tuples
-        dst.keys = KeySet.union(dst.keys, src.keys)
-        dst.rawCount = dst.keys.length.toLong
-        dst.aggregated = true
-        src.keys = KeySet.empty
-        src.rawCount = 0L
-        src.aggregated = true
-      }
+      for ((l, trs) <- phase.transfers.groupBy(_.partition))
+        AggPlan.applyPhase(l, trs.map(tr => (tr.src, tr.dst)), state(l), Share.Empty)(!_.isEmpty) {
+          (t, own, arriving) =>
+            val tuples = arriving.map(_.tuples).sum
+            tuplesReceived(t) += tuples
+            if (t == mapping(l)) tuplesIntoDest += tuples
+            val keys = arriving.foldLeft(own.keys)((ks, a) => KeySet.union(ks, a.keys))
+            Share(keys, keys.length.toLong, aggregated = true)
+        }
 
       math.max(netSeconds, computeSeconds)
     }
 
-    // Completion (Eq. 2 / Eq. 7): everything must have reached its destination.
-    for (l <- 0 until mapping.numPartitions; v <- 0 until n if v != mapping(l))
-      require(state(v, l).isEmpty,
-        s"plan incomplete: fragment $v still holds ${state(v, l).tuples} tuples of partition $l")
+    AggPlan.requireComplete(n, mapping)((v, l) => !state(l)(v).isEmpty)
 
     SimResult(
       totalSeconds = preAggSeconds + phaseSeconds.sum,
@@ -159,7 +148,7 @@ final class Simulator(
       tuplesReceived = tuplesReceived,
       tuplesIntoDestinations = tuplesIntoDest,
       resultCardinalities =
-        Array.tabulate(mapping.numPartitions)(l => state(mapping(l), l).keys.length.toLong),
+        Array.tabulate(mapping.numPartitions)(l => state(l)(mapping(l)).keys.length.toLong),
     )
   }
 }

@@ -15,7 +15,7 @@ import org.scalatest.time.{Seconds, Span}
 
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.catalyst.PhasedTestKit.{assertMatchesDuck, byFragment, findExec}
-import repro.core.{GraspPlanner, KeyPartitioner, Mapping, PlannerState, Simulator, Topology}
+import repro.core.{GraspPlanner, KeyPartitioner, Mapping, MinHasher, PlannerState, Simulator, Topology}
 import repro.exec.{AggSpec, Fragments}
 
 /** End-to-end tests of the GRASP Catalyst physical operator against DuckDB.
@@ -176,7 +176,7 @@ class GraspAggregateExecSpec extends SparkSpec {
     // The operator's plan, rebuilt from the same statistics.
     val part = KeyPartitioner.Hashed(n)
     val mapping = Mapping.allToAll(n)
-    val stats = Fragments.collectStats(input, n, part, PhasedAggregation.Hasher)
+    val stats = Fragments.collectStats(input, n, part, new MinHasher())
     val plan = new GraspPlanner(stats, Array.fill(n, n)(1.0), mapping, tupleBytes = 16.0).plan()
     val data = Fragments.collectClusterData(input, n, part, preAggregated = true)
     val sim = new Simulator(Topology.uniform(n), 16.0).run(plan, data, mapping)
@@ -301,7 +301,7 @@ class GraspAggregateExecSpec extends SparkSpec {
     val input = byFragment(intValued(SynthData.overlapFragments(spark, n, 200, jaccard = 0.5, seed = 13)), n)
     val out = Grasp.aggregate(input, "key", Seq(AggSpec.sum("v", "s")))
     val merged = mergeTree(out.queryExecution.toRdd)
-    val stats = Fragments.collectStats(input, n, KeyPartitioner.Hashed(n), PhasedAggregation.Hasher)
+    val stats = Fragments.collectStats(input, n, KeyPartitioner.Hashed(n), new MinHasher())
     val plan = new GraspPlanner(stats, Array.fill(n, n)(1.0), Mapping.allToAll(n), tupleBytes = 16.0).plan()
     assert(findExec(out.queryExecution.executedPlan).get.metrics("numPhases").value == plan.numPhases)
     (merged, plan.numTransfers)

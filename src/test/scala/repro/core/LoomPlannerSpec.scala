@@ -120,6 +120,20 @@ class LoomPlannerSpec extends AnyFunSuite {
       s"grasp=${grasp.totalSeconds} loom=${loom.totalSeconds}")
   }
 
+  test("a fragment sends only when its subtree holds data") {
+    // Fan-in 2 over 3 fragments makes 1 and 2 children of 0; 2 holds nothing.
+    val raw = Array(Array(1L, 2L), Array(2L, 3L), Array.emptyLongArray)
+    val (data, stats) = LocalGen.scenario(raw, KeyPartitioner.Single, preAggregated = true, hasher)
+    val topo = Topology.uniform(3)
+    val plan = LoomPlanner.plan(stats, topo, 0, data.globalCardinality(0), W)
+    assert(plan.transfers.toVector == Vector(Transfer(1, 0, 0)))
+    assert(new Simulator(topo, W).run(plan, data, Mapping.allToOne(0)).resultCardinalities(0) == 3)
+    // In the chain 3 → 2 → 1 → 0, an empty fragment 1 still passes 2's data on.
+    val chain = new LoomPlanner(Topology.uniform(4), 0, 10, 10, W)
+    assert(chain.plan(fanIn = 1, holds = _ != 1).transfers.map(_.src).toVector == Vector(3, 2, 1))
+    assert(chain.plan(fanIn = 1, holds = _ == 0).numPhases == 0)
+  }
+
   test("LOOM rejects all-to-all statistics") {
     val raw = LocalGen.uniformDraws(4, 50, 100)
     val (_, stats) = LocalGen.scenario(raw, KeyPartitioner.Hashed(4), preAggregated = true, hasher)

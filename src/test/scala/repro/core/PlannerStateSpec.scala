@@ -68,10 +68,10 @@ class PlannerStateSpec extends AnyFunSuite {
     // True union is [0, 500) = 500 keys; estimate should be in the ballpark.
     val est = st.cardinality(2, 0)
     assert(math.abs(est - 500.0) / 500.0 <= 0.2, s"est=$est")
-    assert(st.partitionDone(0, 2))
+    assert(st.done(Mapping.allToOne(2)))
   }
 
-  test("partitionDone / done reflect Eq. 2 completion") {
+  test("done reflects Eq. 2 completion") {
     val st = state(KeySet.fromRange(0, 10), KeySet.fromRange(0, 10))
     val m = Mapping.allToOne(1)
     assert(!st.done(m))

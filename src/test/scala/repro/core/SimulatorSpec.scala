@@ -147,6 +147,17 @@ class SimulatorSpec extends AnyFunSuite {
     }
   }
 
+  test("a share sent to two receivers in one phase is rejected") {
+    val topo = Topology.uniform(3)
+    val d = data1(KeySet.fromRange(1, 2), KeySet.fromRange(1, 2), KeySet.fromRange(1, 2))
+    val plan = AggPlan(Vector(
+      Phase(Vector(Transfer(2, 0, 0), Transfer(2, 1, 0))),
+      Phase(Vector(Transfer(1, 0, 0)))))
+    intercept[IllegalArgumentException] {
+      new Simulator(topo, W).run(plan, d, Mapping.allToOne(0))
+    }
+  }
+
   test("transfers from an empty share are rejected") {
     val topo = Topology.uniform(3)
     val d = data1(KeySet.empty, KeySet.fromRange(0, 4), KeySet.empty)

@@ -1,5 +1,6 @@
 package repro.exec
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, SynthData}
@@ -11,6 +12,22 @@ class PlanExecutorEdgeSpec extends SparkSpec {
 
   private def grasp(nFrags: Int, mapping: Mapping) = (stats: PlannerState) =>
     GraspPlanner.plan(stats, Topology.uniform(nFrags), mapping, 16.0)
+
+  /** The executor and the simulator both reject `plan`, an all-to-one plan
+    * into fragment 0 over the 3 fragments of `df`, with `msg`.
+    */
+  private def assertRejected(df: DataFrame, plan: AggPlan, msg: String): Unit = {
+    val mapping = Mapping.allToOne(0)
+    val data = Fragments.collectClusterData(df, 3, KeyPartitioner.Single, preAggregated = true)
+    val simulated = intercept[IllegalArgumentException] {
+      new Simulator(Topology.uniform(3), 16.0).run(plan, data, mapping)
+    }
+    val executed = intercept[IllegalArgumentException] {
+      runPlan(df, 3, Seq(AggSpec.sum("v", "s"), AggSpec.count("n")), KeyPartitioner.Single, mapping,
+        _ => plan)
+    }
+    Seq(simulated, executed).foreach(e => assert(e.getMessage.contains(msg), e.getMessage))
+  }
 
   test("empty plan is valid when all data already sits at its destination") {
     import spark.implicits._
@@ -26,11 +43,25 @@ class PlanExecutorEdgeSpec extends SparkSpec {
     import spark.implicits._
     val df = Seq((0, 1L, 1.0), (1, 2L, 1.0), (2, 3L, 1.0)).toDF("fragment", "key", "v")
     val halfway = AggPlan(Vector(Phase(Vector(Transfer(2, 0, 0)))))
-    val e = intercept[IllegalArgumentException] {
-      runPlan(df, 3, Seq(AggSpec.sum("v", "s")), KeyPartitioner.Single, Mapping.allToOne(0),
-        _ => halfway)
-    }
-    assert(e.getMessage.contains("fragment 1 still holds partition 0"), e.getMessage)
+    assertRejected(df, halfway, "fragment 1 still holds partition 0")
+  }
+
+  test("transfers from an empty share are rejected") {
+    import spark.implicits._
+    val df = Seq((0, 1L, 1.0), (1, 2L, 1.0)).toDF("fragment", "key", "v")
+    val plan = AggPlan(Vector(Phase(Vector(Transfer(2, 0, 0), Transfer(1, 0, 0)))))
+    assertRejected(df, plan, "2->0[l=0]: sender share is empty")
+  }
+
+  test("a share sent to two receivers in one phase is rejected") {
+    import spark.implicits._
+    // Applied, the plan would merge fragment 2's share twice into fragment
+    // 0: SUM 211.0 and COUNT 4 for key 1, where 111.0 and 3 are right.
+    val df = Seq((0, 1L, 1.0), (1, 1L, 10.0), (2, 1L, 100.0)).toDF("fragment", "key", "v")
+    val plan = AggPlan(Vector(
+      Phase(Vector(Transfer(2, 0, 0), Transfer(2, 1, 0))),
+      Phase(Vector(Transfer(1, 0, 0)))))
+    assertRejected(df, plan, "2->1[l=0]: share already sent in the same phase")
   }
 
   test("two partitions mapped to one destination execute correctly") {
@@ -70,15 +101,12 @@ class PlanExecutorEdgeSpec extends SparkSpec {
   test("a fragment that sends and receives a partition in one phase") {
     import spark.implicits._
     val df = (0 until 90).map(i => (i % 3, (i % 11).toLong, (i % 7).toDouble)).toDF("fragment", "key", "v")
-    // Phase 1: fragment 0 sends its share to 1 while it receives 2's, which
-    // it passes on to 1 in phase 2.
+    // Phase 1: fragment 1 sends its share to 0 while it receives 2's, which
+    // it would pass on to 0 in phase 2.
     val plan = AggPlan(Vector(
-      Phase(Vector(Transfer(0, 1, 0), Transfer(2, 0, 0))),
-      Phase(Vector(Transfer(0, 1, 0)))))
-    val specs = Seq(AggSpec.sum("v", "s"), AggSpec.count("n"))
-    val r = runPlan(df, 3, specs, KeyPartitioner.Single, Mapping.allToOne(1), _ => plan)
-    assert(r.phases == 2)
-    assertMatchesDuck(r.result, df, specs)
+      Phase(Vector(Transfer(1, 0, 0), Transfer(2, 1, 0))),
+      Phase(Vector(Transfer(1, 0, 0)))))
+    assertRejected(df, plan, "2->1[l=0]: receiver also sends partition 0 in the same phase")
   }
 
   test("executor requires at least one aggregate") {
