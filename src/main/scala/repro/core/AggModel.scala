@@ -12,17 +12,11 @@ final case class Transfer(src: Int, dst: Int, partition: Int) {
   override def toString: String = s"$src->$dst[l=$partition]"
 }
 
+/** One phase's concurrent transfers. That no node both sends and receives
+  * the same partition is every plan's rule ([[AggPlan.applyPhase]]).
+  */
 final case class Phase(transfers: Vector[Transfer]) {
   def size: Int = transfers.size
-
-  /** §3.5 invariant for GRASP-produced phases: one node sends to at most one
-    * node and receives from at most one node. Baseline plans (Repart, LOOM
-    * levels) may violate the receive side on purpose — the simulator charges
-    * shared links for it (Eq. 9). That no node both sends and receives the
-    * same partition is every plan's rule ([[AggPlan.applyPhase]]).
-    */
-  def sendersDistinct: Boolean = transfers.map(_.src).distinct.size == transfers.size
-  def receiversDistinct: Boolean = transfers.map(_.dst).distinct.size == transfers.size
 }
 
 final case class AggPlan(phases: Vector[Phase]) {

@@ -1,7 +1,10 @@
 package repro.exec
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import scala.collection.mutable
+
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.LongType
 
 import repro.core._
 
@@ -9,16 +12,17 @@ import repro.core._
   *
   * The input is a DataFrame with columns `(fragment INT, key BIGINT)` (extra
   * columns are ignored): every row is one raw tuple held by `fragment`
-  * before the aggregation starts. One DataFrame aggregation collects the
-  * exact distinct key set and raw count of every (fragment, partition)
-  * share to the driver; the planner statistics (cardinality + minhash) are
-  * then taken from those key sets, so they are exactly what step 2 of
-  * Fig. 5 computes on each node over the same keys.
+  * before the aggregation starts. One narrow pass, with no shuffle, collects
+  * the exact distinct key set and raw count of every (fragment, partition)
+  * share to the driver: each task sorts its own keys per share, and the
+  * driver merges each share's runs once. The planner statistics
+  * (cardinality + minhash) are then taken from those key sets, so they are
+  * exactly what step 2 of Fig. 5 computes on each node over the same keys.
   */
 object Fragments {
 
   /** Exact per-(fragment, partition) key sets and raw counts — the
-    * simulator's ground truth.
+    * simulator's ground truth. A null fragment or key is rejected.
     */
   def collectClusterData(
       df: DataFrame,
@@ -26,23 +30,38 @@ object Fragments {
       partitioner: KeyPartitioner,
       preAggregated: Boolean,
   ): ClusterData = {
-    val m = partitioner.numPartitions
-    val partUdf = F.udf((k: Long) => partitioner.partitionOf(k))
-    val grouped = df
-      .groupBy(col("fragment"), partUdf(col("key")) as "__part")
-      .agg(
-        F.count(F.lit(1)) as "__raw",
-        F.array_sort(F.collect_set(col("key"))) as "__keys",
-      )
+    // Per task: each share's (fragment, partition, raw count, sorted distinct
+    // keys), or the column of the first null met.
+    val runs = df.select(col("fragment"), col("key").cast(LongType)).queryExecution.toRdd
+      .mapPartitions[Either[String, (Int, Int, Long, Array[Long])]] { rows =>
+        val buffers = mutable.LongMap.empty[mutable.ArrayBuilder.ofLong]
+        var nullColumn: String = null
+        while (nullColumn == null && rows.hasNext) {
+          val row = rows.next()
+          if (row.isNullAt(0)) nullColumn = "fragment"
+          else if (row.isNullAt(1)) nullColumn = "key"
+          else {
+            val k = row.getLong(1)
+            val share = (row.getInt(0).toLong << 32) | partitioner.partitionOf(k)
+            buffers.getOrElseUpdate(share, new mutable.ArrayBuilder.ofLong).addOne(k)
+          }
+        }
+        if (nullColumn != null) Iterator(Left(nullColumn))
+        else buffers.iterator.map { case (share, buffer) =>
+          val keys = buffer.result()
+          Right(((share >> 32).toInt, share.toInt, keys.length.toLong, KeySet.fromUnsorted(keys)))
+        }
+      }
       .collect()
-    val shares = Array.fill(nFragments, m)(new Share(KeySet.empty, 0L, preAggregated))
-    grouped.foreach { row =>
-      val v = row.getInt(0)
-      val l = row.getInt(1)
-      val raw = row.getLong(2)
-      val keys = row.getSeq[Long](3).toArray
+    val shares = Array.fill(nFragments, partitioner.numPartitions)(new Share(KeySet.empty, 0L, preAggregated))
+    runs.map {
+      case Left(column) => throw new IllegalArgumentException(s"column $column holds a null")
+      case Right(run) => run
+    }.groupBy(run => (run._1, run._2)).foreach { case ((v, l), rs) =>
       require(v >= 0 && v < nFragments, s"fragment $v out of range")
-      shares(v)(l) = new Share(keys, raw, preAggregated)
+      val keys = rs.map(_._4)
+      val merged = if (keys.length == 1) keys(0) else KeySet.fromUnsorted(Array.concat(keys.toSeq: _*))
+      shares(v)(l) = new Share(merged, rs.map(_._3).sum, preAggregated)
     }
     new ClusterData(shares)
   }

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Plan representation invariants (§2 of the paper). */
 class AggModelSpec extends AnyFunSuite {
+  import GraspPlannerSpec.PhaseInvariants
 
   test("self transfers are rejected at construction") {
     intercept[IllegalArgumentException](Transfer(1, 1, 0))

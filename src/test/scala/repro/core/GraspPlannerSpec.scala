@@ -8,6 +8,7 @@ import org.scalacheck.Gen
   * example: validity invariants, termination, and qualitative wins.
   */
 class GraspPlannerSpec extends AnyFunSuite with PropChecks {
+  import GraspPlannerSpec.PhaseInvariants
 
   private val hasher = new MinHasher(numHashes = 100, seed = 42)
   private val W = 8.0 // tuple bytes used throughout this spec
@@ -289,5 +290,18 @@ class GraspPlannerSpec extends AnyFunSuite with PropChecks {
       val r = new Simulator(topo, W).run(plan, data, mapping)
       (0 until n).foreach(l => assert(r.resultCardinalities(l) == data.globalCardinality(l)))
     }
+  }
+}
+
+object GraspPlannerSpec {
+
+  /** §3.5 invariant for GRASP-produced phases: one node sends to at most one
+    * node and receives from at most one node. Baseline plans (Repart, LOOM
+    * levels) may violate the receive side on purpose — the simulator charges
+    * shared links for it (Eq. 9).
+    */
+  implicit class PhaseInvariants(private val p: Phase) extends AnyVal {
+    def sendersDistinct: Boolean = p.transfers.map(_.src).distinct.size == p.size
+    def receiversDistinct: Boolean = p.transfers.map(_.dst).distinct.size == p.size
   }
 }

@@ -1,5 +1,14 @@
 package repro.exec
 
+import java.util.concurrent.ConcurrentLinkedQueue
+
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.functions.{col, spark_partition_id}
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
+
 import repro.SparkSpec
 import repro.SynthData
 import repro.core._
@@ -47,6 +56,65 @@ class FragmentsSpec extends SparkSpec {
         Fragments.collectStats(df, 2, KeyPartitioner.Single, hasher))
       Seq(e1, e2).foreach(e => assert(e.getMessage.contains(s"fragment $bad out of range")))
     }
+  }
+
+  for (column <- Seq("fragment", "key"))
+    test(s"a null $column is rejected, not read as 0") {
+      import spark.implicits._
+      val rows = Seq((Option(0), Option(1L)), (Option(1), Option(2L)))
+      val df = (rows :+ (if (column == "fragment") (None, Option(0L)) else (Option(0), None)))
+        .toDF("fragment", "key")
+      val e1 = intercept[IllegalArgumentException](
+        Fragments.collectClusterData(df, 2, KeyPartitioner.Single, preAggregated = true))
+      val e2 = intercept[IllegalArgumentException](
+        Fragments.collectStats(df, 2, KeyPartitioner.Single, hasher))
+      Seq(e1, e2).foreach(e => assert(e.getMessage.contains(s"column $column holds a null")))
+    }
+
+  test("collection equals the collect_set oracle when fragments span Spark partitions") {
+    val df = SynthData.overlapFragments(spark, 4, 600, jaccard = 0.5, dupFactor = 3, seed = 5)
+      .repartition(6).persist()
+    val placed = df.select(col("fragment"), col("key"), spark_partition_id() as "p").distinct()
+    val spans = placed.select("fragment", "p").distinct().groupBy("fragment").count().collect().map(_.getLong(1))
+    assert(spans.length == 4 && spans.forall(_ > 1), s"Spark partitions per fragment: ${spans.toSeq}")
+    assert(placed.groupBy("fragment", "key").count().filter(col("count") > 1).count() > 0,
+      "no key of a fragment is held by two Spark partitions")
+    for (part <- Seq(KeyPartitioner.Single, KeyPartitioner.Hashed(4),
+                     KeyPartitioner.Weighted(Vector(3.0, 1.0, 1.0)))) {
+      val data = Fragments.collectClusterData(df, 4, part, preAggregated = true)
+      val oracle = CollectSetOracle.collectClusterData(df, 4, part, preAggregated = true)
+      for (v <- 0 until 4; l <- 0 until part.numPartitions) {
+        assert(data(v, l).keys.sameElements(oracle(v, l).keys), s"$part ($v,$l)")
+        assert(data(v, l).rawCount == oracle(v, l).rawCount, s"$part ($v,$l)")
+      }
+    }
+    df.unpersist()
+  }
+
+  test("collectClusterData runs one job of one stage") {
+    val sc = spark.sparkContext
+    val id = java.util.UUID.randomUUID()
+    val (query, marker) = (s"fragments-query-$id", s"fragments-marker-$id")
+    def inGroup[T](group: String)(body: => T): T = {
+      sc.setJobGroup(group, group)
+      try body finally sc.clearJobGroup()
+    }
+    // (job group, stages) of every job started while the listener is on.
+    val jobs = new ConcurrentLinkedQueue[(String, Int)]()
+    val listener = new SparkListener {
+      override def onJobStart(job: SparkListenerJobStart): Unit =
+        jobs.add((job.properties.getProperty("spark.jobGroup.id"), job.stageInfos.size))
+    }
+    val df = SynthData.overlapFragments(spark, 4, 500, jaccard = 0.5, dupFactor = 2, seed = 6)
+    sc.addSparkListener(listener)
+    try {
+      inGroup(query)(Fragments.collectClusterData(df, 4, KeyPartitioner.Hashed(4), preAggregated = true))
+      // Job events reach listeners in order: once the marker job is seen,
+      // every job of the collection is too.
+      inGroup(marker)(sc.parallelize(Seq(1)).count())
+      eventually(timeout(Span(30, Seconds)))(assert(jobs.asScala.exists(_._1 == marker)))
+    } finally sc.removeSparkListener(listener)
+    assert(jobs.asScala.collect { case (`query`, stages) => stages }.toSeq == Seq(1))
   }
 
   test("collectStats cardinalities equal exact distinct counts") {
