@@ -295,7 +295,7 @@ object PhasedAggregation {
     val statsStart = System.nanoTime()
     val statRows = local.map { shares =>
       (shares.map(_.size.toLong),
-        Array.concat(shares.map(t => hasher.signature(Iterator.tabulate(t.size)(t.key))).toIndexedSeq: _*))
+        Array.concat(shares.map(t => hasher.signature(t.keyArray, t.size)).toIndexedSeq: _*))
     }.collect()
     metrics("statisticsTime").add(millisSince(statsStart))
     val card = statRows.map(_._1)

@@ -26,6 +26,11 @@ final class StateTable(ops: AggStateOps, expectedSize: Int) extends Serializable
 
   def key(i: Int): Long = keys(i)
 
+  /** The key array itself, not a copy: entry `i`'s key is at `i`, for `i`
+    * below [[size]]. Callers only read it.
+    */
+  def keyArray: Array[Long] = keys
+
   /** The flat state array: entry `i`'s state starts at `i * width`. */
   def states: Array[Double] = vals
 

@@ -13,9 +13,12 @@ object KeySet {
   val empty: Array[Long] = Array.emptyLongArray
 
   /** Sorted distinct keys from an arbitrary array (input is not mutated). */
-  def fromUnsorted(keys: Array[Long]): Array[Long] = {
-    if (keys.isEmpty) return empty
-    val copy = keys.clone()
+  def fromUnsorted(keys: Array[Long]): Array[Long] = fromUnsorted(keys, 0, keys.length)
+
+  /** Sorted distinct keys of `keys(from until to)` (input is not mutated). */
+  def fromUnsorted(keys: Array[Long], from: Int, to: Int): Array[Long] = {
+    if (from == to) return empty
+    val copy = Arrays.copyOfRange(keys, from, to)
     Arrays.sort(copy)
     var n = 1
     var i = 1

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** Minhash signatures (§3.3 of the paper).
   *
   * A signature is the component-wise minimum of `numHashes` universal hash
@@ -21,6 +23,19 @@ package repro.core
   * Signatures may sit inside a larger array: the offset forms of
   * [[estimateJaccard]] and [[unionInto]] read `numHashes` components from
   * each given offset.
+  *
+  * Every key set is hashed by one kernel, the array form of [[signature]];
+  * [[add]] is its one-key loop. Two choices make it fast without changing a
+  * single component:
+  *
+  *  - `Prime` is a literal constant, so the JIT may compile `% Prime` as a
+  *    multiplication and shifts (Granlund & Montgomery, PLDI 1994) instead
+  *    of a 64-bit hardware division, whose cost varies widely by CPU;
+  *  - the kernel takes two keys per pass over the components: it computes
+  *    both keys' hashes and takes their minimum without a branch (which of
+  *    two hashes is smaller is a coin flip, so a branch would mispredict
+  *    half the time); then one compare against the signature, which rarely
+  *    changes once it holds a few keys, serves both keys.
   */
 final class MinHasher(val numHashes: Int = MinHasher.PaperHashes, seed: Long = 42L)
     extends Serializable {
@@ -66,19 +81,45 @@ final class MinHasher(val numHashes: Int = MinHasher.PaperHashes, seed: Long = 4
 
   /** Fold one key into an existing (mutable) signature. */
   def add(sig: Array[Int], x: Long): Unit = {
+    val a = as
+    val b = bs
+    val fx = fold(x)
     var j = 0
     while (j < numHashes) {
-      val h = hash(j, x).toInt
+      val h = ((a(j) * fx + b(j)) % Prime).toInt
       if (h < sig(j)) sig(j) = h
       j += 1
     }
   }
 
+  /** Signature of the first `len` keys of `keys`; the array is only read. */
+  def signature(keys: Array[Long], len: Int): Array[Int] = {
+    require(len >= 0 && len <= keys.length, s"length $len outside [0, ${keys.length}]")
+    val sig = emptySignature
+    val a = as
+    val b = bs
+    var i = 0
+    while (i + 1 < len) {
+      val x = fold(keys(i))
+      val y = fold(keys(i + 1))
+      var j = 0
+      while (j < numHashes) {
+        val hx = (a(j) * x + b(j)) % Prime
+        val d = hx - (a(j) * y + b(j)) % Prime
+        val h = (hx - (d & ~(d >> 63))).toInt // min(hx, hy), with no branch
+        if (h < sig(j)) sig(j) = h
+        j += 1
+      }
+      i += 2
+    }
+    if (i < len) add(sig, keys(i))
+    sig
+  }
+
   /** Signature of a key set. */
   def signature(keys: IterableOnce[Long]): Array[Int] = {
-    val sig = emptySignature
-    keys.iterator.foreach(add(sig, _))
-    sig
+    val all = (new mutable.ArrayBuilder.ofLong ++= keys).result()
+    signature(all, all.length)
   }
 
   /** Signature of the union: component-wise minimum. Inputs are not mutated. */
@@ -131,8 +172,10 @@ object MinHasher {
   /** n = 100 hash functions, as in §3.3 ("signatures are less than 1KB"). */
   val PaperHashes: Int = 100
 
-  /** Largest prime below 2^31; the hash domain. */
-  val Prime: Long = 2147483629L
+  /** Largest prime below 2^31; the hash domain. A literal, so that every
+    * `% Prime` is compiled as a division by a constant.
+    */
+  final val Prime = 2147483629L
 
   /** The empty set's component, above every hash. */
   val Empty: Int = Int.MaxValue

@@ -68,16 +68,18 @@ object PlannerState {
 
   /** Build the arrays from per-(fragment, partition) exact key sets — the
     * "partition, pre-aggregate and calculate minhash signatures" step (2) of
-    * Fig. 5, executed against ground-truth data.
+    * Fig. 5, executed against ground-truth data. Fragments' signature rows
+    * are independent, so they are hashed in parallel on the common pool;
+    * each row is the same whichever thread builds it.
     */
   def fromKeySets(keys: Array[Array[Array[Long]]], hasher: MinHasher): PlannerState = {
     require(keys.nonEmpty, "no fragments")
     val numPartitions = keys(0).length
     require(keys.forall(_.length == numPartitions), "ragged partition arrays")
-    fromStats(
-      keys.map(_.map(_.length.toLong)),
-      keys.map(shares => Array.concat(shares.map(hasher.signature(_)).toIndexedSeq: _*)),
-      hasher)
+    val sigs = new Array[Array[Int]](keys.length)
+    Arrays.parallelSetAll[Array[Int]](sigs, (v: Int) =>
+      Array.concat(keys(v).map(ks => hasher.signature(ks, ks.length)).toIndexedSeq: _*))
+    fromStats(keys.map(_.map(_.length.toLong)), sigs, hasher)
   }
 
   /** Build from pre-computed statistics (e.g. the operator's, computed

@@ -162,6 +162,43 @@ class MinHashSpec extends AnyFunSuite with PropChecks {
     forAllSampled(Gen.long)(x => assert((0 until 16).forall(j => hasher.hash(j, x) < MinHasher.Empty)))
   }
 
+  /** Component j of the signature of `keys`, in `BigInt` from the hash
+    * family's parameters, so no Long arithmetic or `%` by a constant is
+    * shared with the kernel.
+    */
+  private def bigIntSignature(h: MinHasher, keys: Seq[Long]): Array[Int] =
+    Array.tabulate(h.numHashes) { j =>
+      keys.map(x => (BigInt(h.as(j)) * BigInt(h.fold(x)) + BigInt(h.bs(j))).mod(BigInt(2147483629L)))
+        .minOption.fold(Int.MaxValue)(_.toInt)
+    }
+
+  test("property: every entry point equals the BigInt definition, at every length and on extreme keys") {
+    val small = new MinHasher(numHashes = 16, seed = 11)
+    val extreme = Seq(Long.MinValue, Long.MaxValue, -1L, 0L)
+    val keyGen = Gen.frequency(3 -> Gen.long, 1 -> Gen.oneOf(extreme))
+    def check(keys: Array[Long], len: Int): Unit = {
+      val expect = bigIntSignature(small, keys.take(len).toSeq)
+      val viaAdd = small.emptySignature
+      keys.take(len).foreach(small.add(viaAdd, _))
+      val clue = s"${keys.mkString(",")} (len $len)"
+      assert(small.signature(keys, len).sameElements(expect), clue)
+      assert(small.signature(keys.take(len).toSeq).sameElements(expect), clue)
+      assert(viaAdd.sameElements(expect), clue)
+    }
+    // Lengths 0 to 5, the whole array and a prefix of it, so the kernel's
+    // pairs and its odd tail are both covered.
+    for (n <- 0 to 5; keys <- Seq(Array.tabulate(n)(i => extreme(i % 4)), Array.tabulate(n)(i => i * 7919L - 3))) {
+      check(keys, n)
+      for (len <- 0 until n) check(keys, len)
+    }
+    forAllSampled(Gen.listOf(keyGen), Gen.chooseNum(0, 3)) { (keys, cut) =>
+      val arr = keys.toArray
+      check(arr, arr.length)
+      check(arr, math.max(0, arr.length - cut))
+    }
+    intercept[IllegalArgumentException](small.signature(Array(1L, 2L), 3))
+  }
+
   test("the offset forms read the signatures at their offsets") {
     val (a, b) = (hasher.signature(1L to 300L), hasher.signature(200L to 500L))
     val packed = Array.concat(hasher.emptySignature, a, b)

@@ -95,6 +95,19 @@ class PlannerStateSpec extends AnyFunSuite {
     assert(st.signature(0, 0).sameElements(sigs(0)))
   }
 
+  test("fromKeySets over 48 fragments equals a sequential per-share build, every time") {
+    val rnd = new scala.util.Random(17)
+    val (n, m) = (48, 3)
+    val keys = Array.fill(n, m)(KeySet.fromUnsorted(Array.fill(rnd.nextInt(60))(rnd.nextLong() % 500)))
+    for (_ <- 1 to 5) {
+      val st = PlannerState.fromKeySets(keys, hasher)
+      for (v <- 0 until n; l <- 0 until m) {
+        assert(st.cardinality(v, l) == keys(v)(l).length.toLong, s"($v,$l)")
+        assert(st.signature(v, l).sameElements(hasher.signature(keys(v)(l).toSeq)), s"($v,$l)")
+      }
+    }
+  }
+
   test("ragged stats arrays are rejected") {
     intercept[IllegalArgumentException] {
       PlannerState.fromStats(

@@ -91,6 +91,46 @@ class FragmentsSpec extends SparkSpec {
     df.unpersist()
   }
 
+  test("a frame with both a null and an out-of-range fragment reports the null") {
+    import spark.implicits._
+    val rows = Seq((Option(0), Option(1L)), (Option(5), Option(2L)), (None, Option(3L)))
+    // One task holding every row, and one task per row with the null last.
+    for (slices <- Seq(1, 3)) {
+      val df = spark.createDataset(spark.sparkContext.parallelize(rows, slices)).toDF("fragment", "key")
+      val e = intercept[IllegalArgumentException](
+        Fragments.collectClusterData(df, 2, KeyPartitioner.Single, preAggregated = true))
+      assert(e.getMessage.contains("column fragment holds a null"), s"$slices tasks: ${e.getMessage}")
+    }
+  }
+
+  test("more shares than an Int share id can number are rejected before any job") {
+    import spark.implicits._
+    val df = Seq((0, 1L)).toDF("fragment", "key")
+    val e = intercept[IllegalArgumentException](
+      Fragments.collectClusterData(df, 1 << 20, KeyPartitioner.Hashed(1 << 12), preAggregated = true))
+    assert(e.getMessage.contains("shares exceed an Int share id"), e.getMessage)
+  }
+
+  test("merging at least four runs per share equals the collect_set oracle") {
+    val df = SynthData.overlapFragments(spark, 3, 800, jaccard = 0.5, dupFactor = 4, seed = 8)
+      .repartition(16).persist()
+    val runs = df.select(col("fragment"), spark_partition_id() as "p").distinct()
+      .groupBy("fragment").count().collect().map(_.getLong(1))
+    assert(runs.length == 3 && runs.forall(_ >= 4), s"Spark partitions per fragment: ${runs.toSeq}")
+    val dupes = df.select(col("fragment"), col("key"), spark_partition_id() as "p").distinct()
+      .groupBy("fragment", "key").count().filter(col("count") > 1).count()
+    assert(dupes > 0, "no key of a fragment is held by two Spark partitions")
+    for (part <- Seq(KeyPartitioner.Single, KeyPartitioner.Hashed(3))) {
+      val data = Fragments.collectClusterData(df, 3, part, preAggregated = false)
+      val oracle = CollectSetOracle.collectClusterData(df, 3, part, preAggregated = false)
+      for (v <- 0 until 3; l <- 0 until part.numPartitions) {
+        assert(data(v, l).keys.sameElements(oracle(v, l).keys), s"$part ($v,$l)")
+        assert(data(v, l).rawCount == oracle(v, l).rawCount, s"$part ($v,$l)")
+      }
+    }
+    df.unpersist()
+  }
+
   test("collectClusterData runs one job of one stage") {
     val sc = spark.sparkContext
     val id = java.util.UUID.randomUUID()
